@@ -12,17 +12,14 @@
 //! future-event-list backends (binary heap vs calendar queue, env knob
 //! `BGPSIM_FEL`) on the same matrix; the heap stays the default unless the
 //! calendar wins here. A fourth section exercises the sharded event loop
-//! (`BGPSIM_SHARDS` / `BGPSIM_COMMIT_STREAMS`): single trials at 1/2/4/8
-//! shards on the 120- and 512-node matrices with the
-//! destination-partitioned parallel commit enabled (one stream per
-//! shard), plus a commit-isolation row at the top shard count with the
-//! parallel commit off — the destination-major axis. Every row asserts
-//! bit-identical `RunStats` against the serial run and reports requested
-//! shards, the *effective* worker parallelism (capped by the machine's
-//! cores — on a 1-core box the sharded rows measure coordination
-//! overhead, not speedup, and say so), and the engine's per-phase
-//! wall-clock split (partition/drain scan, Phase A execute, Phase B
-//! walk, commit+merge, mailbox exchange) plus its serial fraction.
+//! (`BGPSIM_SHARDS`): single trials at 1/2/4/8 shards on the 120- and
+//! 512-node matrices. Every row asserts bit-identical `RunStats` against
+//! the serial run and reports requested shards, the *effective* worker
+//! parallelism (capped by the machine's cores — on a 1-core box the
+//! sharded rows measure coordination overhead, not speedup, and say so),
+//! and the engine's per-phase wall-clock split (partition/drain scan,
+//! Phase A execute, Phase B walk, barrier exchange) plus its serial
+//! fraction.
 //! A `small-epoch` section follows: the per-epoch coordination cost of
 //! the old `mpsc` channel handoff vs the parked worker pool, in
 //! ns/epoch for empty and 16-op epochs (see `run_small_epoch_section`).
@@ -59,7 +56,7 @@
 //! topology — the CI smoke configuration.
 //!
 //! `--multicore-gate` runs *only* the multi-core speedup gate and exits:
-//! the 512-node batching workload serial vs 4 shards × 4 commit streams,
+//! the 512-node batching workload serial vs 4 shards,
 //! asserting bit-identity and — on machines with ≥ 4 cores — failing the
 //! process unless the sharded run is ≥ 2× faster. On fewer cores the gate
 //! skips loudly (the speedup is physically unreachable) but still checks
@@ -200,7 +197,6 @@ fn restore_env(key: &str, prev: Option<String>) {
 fn phases_json(t: &bgpsim::ShardPhaseTimings) -> serde_json::Value {
     serde_json::json!({
         "epochs": t.epochs,
-        "parallel_commit_epochs": t.parallel_commit_epochs,
         "inline_phase_a_epochs": t.inline_phase_a_epochs,
         "drain_secs": t.drain_secs,
         "phase_a_secs": t.phase_a_secs,
@@ -423,18 +419,18 @@ fn run_small_epoch_section(fast: bool) -> serde_json::Value {
     })
 }
 
-/// How many shards and commit streams the multi-core gate runs, and the
-/// aggregate speedup it demands when it has the cores to demand one.
+/// How many shards the multi-core gate runs, and the aggregate speedup
+/// it demands when it has the cores to demand one.
 const GATE_SHARDS: usize = 4;
 const GATE_MIN_SPEEDUP: f64 = 2.0;
 
-/// `--multicore-gate`: serial vs `GATE_SHARDS`-way sharded (one commit
-/// stream per shard) on the 512-node batching workload. Bit-identity is
-/// always a hard failure; the ≥ `GATE_MIN_SPEEDUP`× aggregate-speedup bar
-/// is enforced only on machines with at least `GATE_SHARDS` cores — below
-/// that the bar is physically unreachable, so the gate *skips loudly*:
-/// the verdict line, exit status and JSON (`enforced: false`) all say the
-/// speedup went unchecked rather than passing it silently.
+/// `--multicore-gate`: serial vs `GATE_SHARDS`-way sharded on the
+/// 512-node batching workload. Bit-identity is always a hard failure; the
+/// ≥ `GATE_MIN_SPEEDUP`× aggregate-speedup bar is enforced only on
+/// machines with at least `GATE_SHARDS` cores — below that the bar is
+/// physically unreachable, so the gate *skips loudly*: the verdict line,
+/// exit status and JSON (`enforced: false`) all say the speedup went
+/// unchecked rather than passing it silently.
 fn run_multicore_gate(args: &Args) -> ExitCode {
     let cores = std::thread::available_parallelism()
         .map(usize::from)
@@ -448,10 +444,8 @@ fn run_multicore_gate(args: &Args) -> ExitCode {
         base_seed: SEEDS[0],
     };
     let prev_shards = std::env::var("BGPSIM_SHARDS").ok();
-    let prev_streams = std::env::var("BGPSIM_COMMIT_STREAMS").ok();
     let run = |shards: usize| {
         std::env::set_var("BGPSIM_SHARDS", shards.to_string());
-        std::env::set_var("BGPSIM_COMMIT_STREAMS", shards.to_string());
         let started = Instant::now();
         let (stats, net) = exp.run_trial_with_network(0);
         let wall = started.elapsed().as_secs_f64();
@@ -465,25 +459,20 @@ fn run_multicore_gate(args: &Args) -> ExitCode {
     );
     let (sharded_stats, sharded_wall, phases) = run(GATE_SHARDS);
     restore_env("BGPSIM_SHARDS", prev_shards);
-    restore_env("BGPSIM_COMMIT_STREAMS", prev_streams);
     let identical = sharded_stats == serial_stats;
     let speedup = if sharded_wall > 0.0 {
         serial_wall / sharded_wall
     } else {
         0.0
     };
+    println!("  {GATE_SHARDS} shards:            {sharded_wall:7.2} s   {speedup:.2}x vs serial");
     println!(
-        "  {GATE_SHARDS} shards x {GATE_SHARDS} streams: {sharded_wall:7.2} s   {speedup:.2}x vs serial"
-    );
-    println!(
-        "    phases: drain {:.2} s | A {:.2} s | walk {:.2} s | commit+merge {:.2} s | \
-         exchange {:.2} s ({}/{} epochs parallel, serial fraction {:.0}%)",
+        "    phases: drain {:.2} s | A {:.2} s | walk {:.2} s | exchange {:.2} s \
+         ({} epochs, serial fraction {:.0}%)",
         phases.drain_secs,
         phases.phase_a_secs,
         phases.phase_b_secs,
-        phases.merge_secs,
         phases.mailbox_exchange_secs,
-        phases.parallel_commit_epochs,
         phases.epochs,
         phases.serial_fraction() * 100.0
     );
@@ -497,7 +486,6 @@ fn run_multicore_gate(args: &Args) -> ExitCode {
         "seed": SEEDS[0],
         "cores_available": cores,
         "shards": GATE_SHARDS,
-        "commit_streams": GATE_SHARDS,
         "serial_wall_secs": serial_wall,
         "sharded_wall_secs": sharded_wall,
         "speedup": speedup,
@@ -807,49 +795,21 @@ fn main() -> ExitCode {
     } else {
         vec![1, 2, 4, 8]
     };
-    // Row axis. The main rows run each shard count at the engine's
-    // *default* stream resolution — `min(shards, cores)` — so the
-    // recorded overhead/speedup is what a user gets out of the box on
-    // this machine (on a 1-core container that means inline commit, and
-    // the rows measure determinism overhead exactly as before). The
-    // destination-major axis is then pinned explicitly at the top shard
-    // count: one row with the parallel commit forced fully on (one
-    // stream per shard) and one with it forced off (single stream), so
-    // the commit axis's contribution is measurable in isolation on any
-    // machine.
-    let default_streams = |k: usize| k.min(parallelism_available).max(1);
-    let mut row_specs: Vec<(usize, usize)> = shard_counts
-        .iter()
-        .map(|&k| (k, default_streams(k)))
-        .collect();
-    let &max_shards = shard_counts.iter().max().expect("shard counts nonempty");
-    if max_shards > 1 {
-        for forced in [max_shards, 1] {
-            if default_streams(max_shards) != forced {
-                row_specs.push((max_shards, forced));
-            }
-        }
-    }
     let prev_shards = std::env::var("BGPSIM_SHARDS").ok();
-    let prev_streams = std::env::var("BGPSIM_COMMIT_STREAMS").ok();
     let mut sharded_sections: Vec<serde_json::Value> = Vec::new();
     for &(sz, scheme) in &shard_cases {
         let exp = point(scheme, seeds[0], sz, FAILURE_FRACTION);
         let mut serial: Option<(bgpsim::RunStats, f64)> = None;
         let mut rows: Vec<serde_json::Value> = Vec::new();
-        for &(k, streams) in &row_specs {
+        for &k in &shard_counts {
             std::env::set_var("BGPSIM_SHARDS", k.to_string());
-            std::env::set_var("BGPSIM_COMMIT_STREAMS", streams.to_string());
             let started = Instant::now();
             let (stats, net) = exp.run_trial_with_network(0);
             let wall = started.elapsed().as_secs_f64();
             if let Some((serial_stats, _)) = &serial {
                 if stats != *serial_stats {
                     restore_env("BGPSIM_SHARDS", prev_shards);
-                    restore_env("BGPSIM_COMMIT_STREAMS", prev_streams);
-                    eprintln!(
-                        "error: {k}-shard / {streams}-stream run diverged from serial at {sz} nodes"
-                    );
+                    eprintln!("error: {k}-shard run diverged from serial at {sz} nodes");
                     return ExitCode::FAILURE;
                 }
             }
@@ -857,7 +817,6 @@ fn main() -> ExitCode {
             let timings = net.shard_phase_timings();
             rows.push(serde_json::json!({
                 "shards_requested": k,
-                "commit_streams": streams,
                 "workers_effective": k.min(parallelism_available),
                 "wall_secs": wall,
                 "events": stats.events,
@@ -879,7 +838,6 @@ fn main() -> ExitCode {
         }));
     }
     restore_env("BGPSIM_SHARDS", prev_shards);
-    restore_env("BGPSIM_COMMIT_STREAMS", prev_streams);
 
     // ── Small-epoch coordination overhead ───────────────────────────────
     let small_epoch = run_small_epoch_section(args.fast);
@@ -1191,9 +1149,8 @@ fn main() -> ExitCode {
         println!("  {} nodes:", section["nodes"].as_u64().unwrap_or(0));
         for row in section["rows"].as_array().into_iter().flatten() {
             println!(
-                "    {} shards x {} streams ({} effective): {:6.2} s   {:.0} events/sec   {:.2}x vs serial",
+                "    {} shards ({} effective): {:6.2} s   {:.0} events/sec   {:.2}x vs serial",
                 row["shards_requested"].as_u64().unwrap_or(0),
-                row["commit_streams"].as_u64().unwrap_or(0),
                 row["workers_effective"].as_u64().unwrap_or(0),
                 row["wall_secs"].as_f64().unwrap_or(0.0),
                 row["events_per_sec"].as_f64().unwrap_or(0.0),
@@ -1202,14 +1159,12 @@ fn main() -> ExitCode {
             let p = &row["phases"];
             if !p.is_null() {
                 println!(
-                    "      phases: drain {:.2} s | A {:.2} s | walk {:.2} s | commit+merge {:.2} s | \
-                     exchange {:.2} s ({}/{} epochs parallel, serial fraction {:.0}%)",
+                    "      phases: drain {:.2} s | A {:.2} s | walk {:.2} s | exchange {:.2} s \
+                     ({} epochs, serial fraction {:.0}%)",
                     p["drain_secs"].as_f64().unwrap_or(0.0),
                     p["phase_a_secs"].as_f64().unwrap_or(0.0),
                     p["phase_b_secs"].as_f64().unwrap_or(0.0),
-                    p["merge_secs"].as_f64().unwrap_or(0.0),
                     p["mailbox_exchange_secs"].as_f64().unwrap_or(0.0),
-                    p["parallel_commit_epochs"].as_u64().unwrap_or(0),
                     p["epochs"].as_u64().unwrap_or(0),
                     p["serial_fraction"].as_f64().unwrap_or(0.0) * 100.0
                 );

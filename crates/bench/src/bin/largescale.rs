@@ -231,17 +231,22 @@ fn main() -> ExitCode {
     let phases = net.shard_phase_timings();
     if phases.epochs > 0 {
         println!(
-            "  shard phases:   drain {:.2} s | A {:.2} s | walk {:.2} s | commit+merge {:.2} s | \
-             exchange {:.2} s ({}/{} epochs parallel, serial fraction {:.0}%)",
+            "  shard phases:   drain {:.2} s | A {:.2} s | walk {:.2} s | exchange {:.2} s \
+             ({} epochs, {} inline, serial fraction {:.0}%)",
             phases.drain_secs,
             phases.phase_a_secs,
             phases.phase_b_secs,
-            phases.merge_secs,
             phases.mailbox_exchange_secs,
-            phases.parallel_commit_epochs,
             phases.epochs,
+            phases.inline_phase_a_epochs,
             phases.serial_fraction() * 100.0
         );
+        for (s, load) in net.shard_load().iter().enumerate() {
+            println!(
+                "  shard {s}:        {} events drained, {} handled, Phase A busy {:.2} s",
+                load.drained, load.handled, load.busy_secs
+            );
+        }
     }
     let final_fp = net.memory_footprint();
     let peak = peak_rss_kb();
@@ -284,18 +289,20 @@ fn main() -> ExitCode {
         "ceiling_exceeded": ceiling_exceeded,
         "routing_consistent": true,
         "shards": net.shard_count(),
-        "commit_streams": net.commit_stream_count(),
         "shard_phases": if phases.epochs > 0 {
             serde_json::json!({
                 "epochs": phases.epochs,
-                "parallel_commit_epochs": phases.parallel_commit_epochs,
                 "inline_phase_a_epochs": phases.inline_phase_a_epochs,
                 "drain_secs": phases.drain_secs,
                 "phase_a_secs": phases.phase_a_secs,
                 "phase_b_secs": phases.phase_b_secs,
-                "merge_secs": phases.merge_secs,
                 "mailbox_exchange_secs": phases.mailbox_exchange_secs,
                 "serial_fraction": phases.serial_fraction(),
+                "shard_load": net.shard_load().iter().map(|l| serde_json::json!({
+                    "drained": l.drained,
+                    "handled": l.handled,
+                    "busy_secs": l.busy_secs,
+                })).collect::<Vec<_>>(),
             })
         } else {
             serde_json::Value::Null

@@ -1,7 +1,9 @@
 //! The BGP router engine.
 //!
 //! [`BgpNode`] is a *sans-io* state machine: event handlers take the current
-//! simulation time and return [`Action`]s for the driver to execute. The
+//! simulation time and append [`Action`]s for the driver to execute to a
+//! caller-owned buffer (the `*_into` methods; the `Vec`-returning ones wrap
+//! them for one-off callers). The
 //! processing model is a single server — one batch of queued updates is in
 //! service at a time, for the sum of the per-update U(proc_min, proc_max)
 //! delays — which is precisely the overload mechanism the paper studies:
@@ -188,6 +190,14 @@ impl PeerTable {
     }
 }
 
+/// Runs an appending handler into a fresh buffer — the body of every
+/// `Vec`-returning handler wrapper.
+fn collect(handler: impl FnOnce(&mut Vec<Action>)) -> Vec<Action> {
+    let mut out = Vec::new();
+    handler(&mut out);
+    out
+}
+
 /// Memoized prepend results: parent storage address → (parent clone,
 /// prepended child). See [`BgpNode::prepended_in`].
 type PrependCache = RefCell<HashMap<usize, (AsPath, AsPath)>>;
@@ -252,6 +262,24 @@ pub struct BgpNode {
     /// observations here; the driver drains after each handler call.
     /// `None` keeps the off cost to one branch per hook site.
     trace: Option<Vec<NodeEvent>>,
+    /// Reused bookkeeping buffers, empty between handler calls, so a
+    /// handler allocates nothing for its own working sets.
+    scratch: Scratch,
+}
+
+/// A node's handler-local working sets (see [`BgpNode::on_proc_done_into`]
+/// and `flush_per_destination`), kept between calls only for their
+/// capacity.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// Prefixes whose best route the current batch changed, ascending.
+    changed: Vec<Prefix>,
+    /// `(prefix, peer)` per item of a multi-item batch, in batch order.
+    affected: Vec<(Prefix, RouterId)>,
+    /// The distinct peers of one prefix group of `affected`.
+    touched: Vec<RouterId>,
+    /// Pending prefixes whose per-destination MRAI timer is idle.
+    ready: Vec<Prefix>,
 }
 
 impl BgpNode {
@@ -303,6 +331,7 @@ impl BgpNode {
             rng,
             stats: NodeStats::default(),
             trace: None,
+            scratch: Scratch::default(),
         }
     }
 
@@ -461,8 +490,8 @@ impl BgpNode {
             .flatten()
     }
 
-    /// Takes the buffered trace events as a `Vec` (used by the sharded
-    /// loop, which ships them to the serial commit phase).
+    /// Takes the buffered trace events as a `Vec`, leaving an empty buffer
+    /// behind.
     pub fn take_trace(&mut self) -> Vec<NodeEvent> {
         self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
@@ -501,6 +530,11 @@ impl BgpNode {
     /// prefixes, is installed in the Loc-RIB and advertised to every peer.
     /// A node may originate any number of prefixes.
     pub fn originate(&mut self, now: SimTime, prefix: Prefix) -> Vec<Action> {
+        collect(|out| self.originate_into(now, prefix, out))
+    }
+
+    /// [`originate`](Self::originate), appending the actions to `out`.
+    pub fn originate_into(&mut self, now: SimTime, prefix: Prefix, out: &mut Vec<Action>) {
         // Freeze before the install: the frozen values must capture what
         // each peer last heard, i.e. the export of the *pre-change* Loc-RIB.
         self.freeze_out_all(prefix);
@@ -511,7 +545,7 @@ impl BgpNode {
             prefix,
             path_len: Some(0),
         });
-        self.flush_all(now)
+        self.flush_all(now, out);
     }
 
     /// Withdraws a locally originated `prefix` — the inverse of
@@ -520,8 +554,14 @@ impl BgpNode {
     /// hears the change (withdrawal or replacement) subject to MRAI. A
     /// no-op if the prefix is not currently originated here.
     pub fn withdraw_origin(&mut self, now: SimTime, prefix: Prefix) -> Vec<Action> {
+        collect(|out| self.withdraw_origin_into(now, prefix, out))
+    }
+
+    /// [`withdraw_origin`](Self::withdraw_origin), appending the actions
+    /// to `out`.
+    pub fn withdraw_origin_into(&mut self, now: SimTime, prefix: Prefix, out: &mut Vec<Action>) {
         if !self.own_prefixes.remove(&prefix) {
-            return Vec::new();
+            return;
         }
         // Freeze before the change so the frozen values capture what each
         // peer last heard (same ordering rule as `originate`).
@@ -540,11 +580,22 @@ impl BgpNode {
         }
         self.stats.best_changes += 1;
         self.trace_push(NodeEvent::BestChanged { prefix, path_len });
-        self.flush_all(now)
+        self.flush_all(now, out);
     }
 
     /// Handles an UPDATE arriving from `from`.
     pub fn on_update(&mut self, now: SimTime, from: RouterId, msg: UpdateMsg) -> Vec<Action> {
+        collect(|out| self.on_update_into(now, from, msg, out))
+    }
+
+    /// [`on_update`](Self::on_update), appending the actions to `out`.
+    pub fn on_update_into(
+        &mut self,
+        _now: SimTime,
+        from: RouterId,
+        msg: UpdateMsg,
+        out: &mut Vec<Action>,
+    ) {
         self.stats.updates_received += 1;
         if self.trace.is_some() {
             self.trace_push(NodeEvent::Received {
@@ -555,7 +606,7 @@ impl BgpNode {
         }
         if !self.peers.contains(from) {
             // Session already torn down; the message is lost.
-            return Vec::new();
+            return;
         }
         if let Some(ctrl) = &mut self.dyn_ctrl {
             ctrl.note_update_received();
@@ -563,20 +614,25 @@ impl BgpNode {
         let stale_before = self.queue.deleted_stale();
         self.queue.push(WorkItem::Update { from, msg });
         self.trace_stale(stale_before);
-        let actions = self.maybe_start_processing(now);
+        self.maybe_start_processing(out);
         self.trace_depth();
-        actions
     }
 
     /// Handles the completion of the batch in service.
     pub fn on_proc_done(&mut self, now: SimTime) -> Vec<Action> {
+        collect(|out| self.on_proc_done_into(now, out))
+    }
+
+    /// [`on_proc_done`](Self::on_proc_done), appending the actions to
+    /// `out`. Damping actions come first, in batch order, then the
+    /// expedited, MRAI-permitted and next-batch actions.
+    pub fn on_proc_done_into(&mut self, now: SimTime, out: &mut Vec<Action>) {
         let mut batch = std::mem::take(&mut self.in_service);
         debug_assert!(
             !batch.is_empty(),
             "processing completed with nothing in service"
         );
-        let mut damping_actions: Vec<Action> = Vec::new();
-        let mut changed: BTreeSet<Prefix> = BTreeSet::new();
+        let mut changed = std::mem::take(&mut self.scratch.changed);
         if batch.len() == 1 {
             // FIFO service (and most batched service) completes one item;
             // skip the grouping machinery entirely.
@@ -584,48 +640,57 @@ impl BgpNode {
             self.stats.updates_processed += 1;
             let (prefix, peer) = (item.prefix(), item.peer());
             self.trace_push(NodeEvent::Processed { peer, prefix });
-            damping_actions.extend(self.apply_item(now, item));
+            out.extend(self.apply_item(now, item));
             if self.run_decision(prefix, &[peer]) {
-                changed.insert(prefix);
+                changed.push(prefix);
             }
         } else {
             // Per affected prefix, the peers whose Adj-RIB-In entries this
             // batch may touch — the incremental decision process only has
-            // to compare these against the installed best.
-            let mut affected: BTreeMap<Prefix, Vec<RouterId>> = BTreeMap::new();
+            // to compare these against the installed best. A stable sort
+            // by prefix groups them in ascending prefix order with each
+            // group's peers in batch order.
+            let mut affected = std::mem::take(&mut self.scratch.affected);
             for item in batch {
                 self.stats.updates_processed += 1;
-                self.trace_push(NodeEvent::Processed {
-                    peer: item.peer(),
-                    prefix: item.prefix(),
-                });
-                let touched = affected.entry(item.prefix()).or_default();
-                if !touched.contains(&item.peer()) {
-                    touched.push(item.peer());
-                }
-                damping_actions.extend(self.apply_item(now, item));
+                let (prefix, peer) = (item.prefix(), item.peer());
+                self.trace_push(NodeEvent::Processed { peer, prefix });
+                affected.push((prefix, peer));
+                out.extend(self.apply_item(now, item));
             }
-            for (prefix, touched) in &affected {
-                if self.run_decision(*prefix, touched) {
-                    changed.insert(*prefix);
+            affected.sort_by_key(|&(prefix, _)| prefix);
+            let mut touched = std::mem::take(&mut self.scratch.touched);
+            for group in affected.chunk_by(|a, b| a.0 == b.0) {
+                touched.clear();
+                for &(_, peer) in group {
+                    if !touched.contains(&peer) {
+                        touched.push(peer);
+                    }
+                }
+                if self.run_decision(group[0].0, &touched) {
+                    changed.push(group[0].0);
                 }
             }
+            touched.clear();
+            affected.clear();
+            self.scratch.touched = touched;
+            self.scratch.affected = affected;
         }
-        let mut actions = damping_actions;
         if self.cfg.expedite_improvements && !changed.is_empty() {
-            actions.extend(self.expedite_flush(now, &changed));
+            self.expedite_flush(now, &changed, out);
         }
-        actions.extend(self.flush_all(now));
-        actions.extend(self.maybe_start_processing(now));
+        changed.clear();
+        self.scratch.changed = changed;
+        self.flush_all(now, out);
+        self.maybe_start_processing(out);
         self.trace_depth();
-        actions
     }
 
     /// Deshpande & Sikdar's timer-cancelling scheme: when a change would
     /// *improve* (shorten or create) the route a peer holds from us, cancel
-    /// that peer's running MRAI timer and send immediately.
-    fn expedite_flush(&mut self, now: SimTime, changed: &BTreeSet<Prefix>) -> Vec<Action> {
-        let mut actions = Vec::new();
+    /// that peer's running MRAI timer and send immediately. `changed` is
+    /// ascending.
+    fn expedite_flush(&mut self, now: SimTime, changed: &[Prefix], out: &mut Vec<Action>) {
         for i in 0..self.peers.len() {
             let peer = self.peers.id_at(i);
             let improving: Vec<Prefix> = changed
@@ -657,10 +722,9 @@ impl BgpNode {
                 }
             }
             if cancelled {
-                actions.extend(self.flush_peer(now, peer));
+                self.flush_peer(now, peer, out);
             }
         }
-        actions
     }
 
     /// Whether what we would now send `peer` for `prefix` improves on what
@@ -689,32 +753,29 @@ impl BgpNode {
         prefix: Option<Prefix>,
         gen: u64,
     ) -> Vec<Action> {
+        collect(|out| self.on_mrai_expiry_into(now, peer, prefix, gen, out))
+    }
+
+    /// [`on_mrai_expiry`](Self::on_mrai_expiry), appending the actions to
+    /// `out`.
+    pub fn on_mrai_expiry_into(
+        &mut self,
+        now: SimTime,
+        peer: RouterId,
+        prefix: Option<Prefix>,
+        gen: u64,
+        out: &mut Vec<Action>,
+    ) {
         let Some(sess) = self.peers.get_mut(peer) else {
-            return Vec::new();
+            return;
         };
-        match prefix {
-            None => {
-                if !sess.timer.expire(gen) {
-                    return Vec::new();
-                }
-                self.trace_push(NodeEvent::MraiExpired { peer, prefix: None });
-                self.flush_peer(now, peer)
-            }
-            Some(p) => {
-                let live = sess
-                    .dest_timers
-                    .get_mut(&p)
-                    .map(|t| t.expire(gen))
-                    .unwrap_or(false);
-                if !live {
-                    return Vec::new();
-                }
-                self.trace_push(NodeEvent::MraiExpired {
-                    peer,
-                    prefix: Some(p),
-                });
-                self.flush_peer(now, peer)
-            }
+        let live = match prefix {
+            None => sess.timer.expire(gen),
+            Some(p) => sess.dest_timers.get_mut(&p).is_some_and(|t| t.expire(gen)),
+        };
+        if live {
+            self.trace_push(NodeEvent::MraiExpired { peer, prefix });
+            self.flush_peer(now, peer, out);
         }
     }
 
@@ -731,15 +792,26 @@ impl BgpNode {
         ibgp: bool,
         rel: Option<Relationship>,
     ) -> Vec<Action> {
+        collect(|out| self.on_peer_up_into(now, peer, ibgp, rel, out))
+    }
+
+    /// [`on_peer_up`](Self::on_peer_up), appending the actions to `out`.
+    pub fn on_peer_up_into(
+        &mut self,
+        now: SimTime,
+        peer: RouterId,
+        ibgp: bool,
+        rel: Option<Relationship>,
+        out: &mut Vec<Action>,
+    ) {
         self.register_peer(peer, PeerSession::new(ibgp, rel));
-        let prefixes: Vec<Prefix> = self.loc_rib.iter().map(|(p, _)| p).collect();
         let sess = self.peers.get_mut(peer).expect("just inserted");
-        for p in prefixes {
+        for (p, _) in self.loc_rib.iter() {
             // The new peer has heard nothing yet: every Loc-RIB prefix is
             // pending with a frozen "nothing advertised" marker.
             sess.rib_out.freeze_with(p, || None);
         }
-        self.flush_peer(now, peer)
+        self.flush_peer(now, peer, out);
     }
 
     /// Handles the loss of the session to `peer` (link or router failure).
@@ -749,8 +821,14 @@ impl BgpNode {
     /// cleanup costs processing time, exactly like received withdrawals
     /// would.
     pub fn on_peer_down(&mut self, now: SimTime, peer: RouterId) -> Vec<Action> {
+        collect(|out| self.on_peer_down_into(now, peer, out))
+    }
+
+    /// [`on_peer_down`](Self::on_peer_down), appending the actions to
+    /// `out`.
+    pub fn on_peer_down_into(&mut self, _now: SimTime, peer: RouterId, out: &mut Vec<Action>) {
         if self.peers.remove(peer).is_none() {
-            return Vec::new();
+            return;
         }
         // Damping state dies with the session. An in-flight reuse timer
         // becomes stale via the generation check in `on_reuse_expiry`:
@@ -763,9 +841,8 @@ impl BgpNode {
             self.queue.push(WorkItem::ImplicitWithdraw { peer, prefix });
         }
         self.trace_stale(stale_before);
-        let actions = self.maybe_start_processing(now);
+        self.maybe_start_processing(out);
         self.trace_depth();
-        actions
     }
 
     // ------------------------------------------------------------------
@@ -879,36 +956,49 @@ impl BgpNode {
         prefix: Prefix,
         gen: u64,
     ) -> Vec<Action> {
+        collect(|out| self.on_reuse_expiry_into(now, peer, prefix, gen, out))
+    }
+
+    /// [`on_reuse_expiry`](Self::on_reuse_expiry), appending the actions
+    /// to `out`.
+    pub fn on_reuse_expiry_into(
+        &mut self,
+        now: SimTime,
+        peer: RouterId,
+        prefix: Prefix,
+        gen: u64,
+        out: &mut Vec<Action>,
+    ) {
         let Some(damping) = self.cfg.damping else {
-            return Vec::new();
+            return;
         };
         let key = (peer, prefix);
         let Some(state) = self.damp.get_mut(&key) else {
-            return Vec::new();
+            return;
         };
         match state.try_release(now, gen, &damping, false) {
-            None => Vec::new(),
+            None => {}
             Some(false) => {
                 // Not decayed yet: re-arm, forcing release at the cap.
                 let delay = state.reuse_delay(now, &damping);
                 if delay >= damping.max_suppress {
                     let released = state.try_release(now, gen, &damping, true);
                     debug_assert_eq!(released, Some(true));
-                    self.finish_release(now, key)
+                    self.finish_release(now, key, out);
                 } else {
-                    vec![Action::StartReuse {
+                    out.push(Action::StartReuse {
                         peer,
                         prefix,
                         delay,
                         gen,
-                    }]
+                    });
                 }
             }
-            Some(true) => self.finish_release(now, key),
+            Some(true) => self.finish_release(now, key, out),
         }
     }
 
-    fn finish_release(&mut self, now: SimTime, key: (RouterId, Prefix)) -> Vec<Action> {
+    fn finish_release(&mut self, now: SimTime, key: (RouterId, Prefix), out: &mut Vec<Action>) {
         let (peer, prefix) = key;
         let parked = self.suppressed_routes.remove(&key).flatten();
         if self.peers.contains(peer) {
@@ -921,11 +1011,9 @@ impl BgpNode {
                 }
             }
         }
-        let mut actions = Vec::new();
         if self.run_decision(prefix, &[peer]) {
-            actions.extend(self.flush_all(now));
+            self.flush_all(now, out);
         }
-        actions
     }
 
     /// Re-runs the decision process for `prefix`; returns whether the best
@@ -998,15 +1086,15 @@ impl BgpNode {
         }
     }
 
-    fn maybe_start_processing(&mut self, _now: SimTime) -> Vec<Action> {
+    fn maybe_start_processing(&mut self, out: &mut Vec<Action>) {
         if self.is_busy() {
-            return Vec::new();
+            return;
         }
         let stale_before = self.queue.deleted_stale();
         let batch = self.queue.pop_batch();
         self.trace_stale(stale_before);
         if batch.is_empty() {
-            return Vec::new();
+            return;
         }
         let duration: SimDuration = batch
             .iter()
@@ -1017,35 +1105,33 @@ impl BgpNode {
             ctrl.note_busy(duration);
         }
         self.in_service = batch;
-        vec![Action::StartProcessing { duration }]
+        out.push(Action::StartProcessing { duration });
     }
 
-    fn flush_all(&mut self, now: SimTime) -> Vec<Action> {
-        let mut actions = Vec::new();
+    fn flush_all(&mut self, now: SimTime, out: &mut Vec<Action>) {
         // Index loop: flushing never adds or removes peers, and this runs
         // after every service batch — no per-call peer-id Vec.
         for i in 0..self.peers.len() {
             let peer = self.peers.id_at(i);
-            actions.extend(self.flush_peer(now, peer));
+            self.flush_peer(now, peer, out);
         }
-        actions
     }
 
     /// Sends whatever the MRAI currently permits to `peer`.
-    fn flush_peer(&mut self, now: SimTime, peer: RouterId) -> Vec<Action> {
+    fn flush_peer(&mut self, now: SimTime, peer: RouterId, out: &mut Vec<Action>) {
         match self.cfg.mrai_scope {
-            MraiScope::PerPeer => self.flush_peer_scoped(now, peer),
-            MraiScope::PerDestination => self.flush_per_destination(now, peer),
+            MraiScope::PerPeer => self.flush_peer_scoped(now, peer, out),
+            MraiScope::PerDestination => self.flush_per_destination(now, peer, out),
         }
     }
 
-    fn flush_peer_scoped(&mut self, now: SimTime, peer: RouterId) -> Vec<Action> {
+    fn flush_peer_scoped(&mut self, now: SimTime, peer: RouterId, out: &mut Vec<Action>) {
         {
             let Some(sess) = self.peers.get(peer) else {
-                return Vec::new();
+                return;
             };
             if sess.timer.is_running() || sess.rib_out.is_clean() {
-                return Vec::new();
+                return;
             }
         }
         let pending = {
@@ -1055,7 +1141,7 @@ impl BgpNode {
             // re-establishes the mirror — sending re-syncs the peer.
             sess.rib_out.take_pending()
         };
-        let (mut actions, sent_advert, sent_any) = self.emit_updates(peer, pending);
+        let (sent_advert, sent_any) = self.emit_updates(peer, pending, out);
         let start_timer = sent_advert || (self.cfg.withdrawal_rate_limiting && sent_any);
         if start_timer {
             if let Some(delay) = self.next_mrai_interval(now, peer) {
@@ -1067,7 +1153,7 @@ impl BgpNode {
                     prefix: None,
                     delay,
                 });
-                actions.push(Action::StartMrai {
+                out.push(Action::StartMrai {
                     peer,
                     prefix: None,
                     delay,
@@ -1075,36 +1161,28 @@ impl BgpNode {
                 });
             }
         }
-        actions
     }
 
-    fn flush_per_destination(&mut self, now: SimTime, peer: RouterId) -> Vec<Action> {
+    fn flush_per_destination(&mut self, now: SimTime, peer: RouterId, out: &mut Vec<Action>) {
+        let mut ready = std::mem::take(&mut self.scratch.ready);
         let Some(sess) = self.peers.get(peer) else {
-            return Vec::new();
+            self.scratch.ready = ready;
+            return;
         };
         // Only pending prefixes whose own timer is idle may be sent now.
-        let ready: Vec<Prefix> = sess
-            .rib_out
-            .pending()
-            .filter(|p| {
-                !sess
-                    .dest_timers
-                    .get(p)
-                    .map(MraiTimer::is_running)
-                    .unwrap_or(false)
-            })
-            .collect();
-        if ready.is_empty() {
-            return Vec::new();
-        }
-        let mut actions = Vec::new();
-        for p in ready {
+        ready.extend(sess.rib_out.pending().filter(|p| {
+            !sess
+                .dest_timers
+                .get(p)
+                .map(MraiTimer::is_running)
+                .unwrap_or(false)
+        }));
+        for &p in &ready {
             let frozen = {
                 let sess = self.peers.get_mut(peer).expect("checked above");
                 sess.rib_out.take(p).expect("listed as pending")
             };
-            let (mut acts, sent_advert, sent_any) = self.emit_updates(peer, [(p, frozen)]);
-            actions.append(&mut acts);
+            let (sent_advert, sent_any) = self.emit_updates(peer, [(p, frozen)], out);
             let start_timer = sent_advert || (self.cfg.withdrawal_rate_limiting && sent_any);
             if start_timer {
                 if let Some(delay) = self.next_mrai_interval(now, peer) {
@@ -1116,7 +1194,7 @@ impl BgpNode {
                         prefix: Some(p),
                         delay,
                     });
-                    actions.push(Action::StartMrai {
+                    out.push(Action::StartMrai {
                         peer,
                         prefix: Some(p),
                         delay,
@@ -1125,25 +1203,26 @@ impl BgpNode {
                 }
             }
         }
-        actions
+        ready.clear();
+        self.scratch.ready = ready;
     }
 
     /// Computes and records the updates for the taken pending entries
-    /// (`(prefix, frozen last-advertised)`) towards `peer`. Returns
-    /// `(actions, sent_advertisement, sent_anything)`.
+    /// (`(prefix, frozen last-advertised)`) towards `peer`, appending the
+    /// sends to `out`. Returns `(sent_advertisement, sent_anything)`.
     fn emit_updates(
         &mut self,
         peer: RouterId,
         entries: impl IntoIterator<Item = (Prefix, Option<AsPath>)>,
-    ) -> (Vec<Action>, bool, bool) {
-        let mut actions = Vec::new();
+        out: &mut Vec<Action>,
+    ) -> (bool, bool) {
         let (mut sent_advert, mut sent_any) = (false, false);
         // Disjoint field borrows: the session stays mutably borrowed for
         // the whole sweep while the export is computed straight from the
         // Loc-RIB, config and prepend cache — what `path_towards` does,
         // minus two session-map lookups per prefix.
         let Some(sess) = self.peers.get_mut(peer) else {
-            return (actions, sent_advert, sent_any);
+            return (sent_advert, sent_any);
         };
         let (ibgp, rel) = (sess.ibgp, sess.rel);
         let (loc_rib, cfg) = (&self.loc_rib, &self.cfg);
@@ -1178,7 +1257,7 @@ impl BgpNode {
                         Some(p) => UpdateMsg::advertise_with_pref(prefix, path, p),
                         None => UpdateMsg::advertise(prefix, path),
                     };
-                    actions.push(Action::Send { to: peer, msg });
+                    out.push(Action::Send { to: peer, msg });
                 }
                 (None, Some(_)) => {
                     #[cfg(any(test, feature = "dense-rib"))]
@@ -1192,7 +1271,7 @@ impl BgpNode {
                             advertise: false,
                         });
                     }
-                    actions.push(Action::Send {
+                    out.push(Action::Send {
                         to: peer,
                         msg: UpdateMsg::withdraw(prefix),
                     });
@@ -1200,7 +1279,7 @@ impl BgpNode {
                 (None, None) => {}
             }
         }
-        (actions, sent_advert, sent_any)
+        (sent_advert, sent_any)
     }
 
     /// The AS path this node would advertise to `peer` for `prefix`

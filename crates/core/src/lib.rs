@@ -73,6 +73,6 @@ pub use experiment::{Aggregate, Experiment, TopologySpec};
 pub use metrics::RunStats;
 pub use network::{FullTableSpec, MemoryFootprint, Network, SimConfig};
 pub use scheme::Scheme;
-pub use shard::ShardPhaseTimings;
+pub use shard::{ShardLoad, ShardPhaseTimings};
 pub use trace::{Timeline, TraceEvent, TraceSink};
 pub use warm::{NetworkSnapshot, SnapshotCache, SnapshotKey, WarmStats};

@@ -165,13 +165,10 @@ pub struct SimConfig {
     /// Any value yields bit-identical results; >1 buys wall-clock from
     /// cores inside a single trial.
     pub shards: Option<usize>,
-    /// Parallel commit streams for the sharded loop's epoch commit: the
-    /// recorded action traces are partitioned by destination prefix and
-    /// applied on this many worker streams before the deterministic merge
-    /// (see the `shard` module). `None` falls back to the
-    /// `BGPSIM_COMMIT_STREAMS` environment variable, absent →
-    /// `min(shards, available cores)`. Any value yields bit-identical
-    /// results; the value is clamped to `1..=shards`.
+    /// Inert: the sharded loop's single-pass epoch (see the `shard`
+    /// module) has no commit stage to spread over streams, so the value
+    /// is ignored and [`Network::commit_stream_count`] reports the shard
+    /// count. Kept so existing configurations still build.
     pub commit_streams: Option<usize>,
     /// Future-event-list backend. `None` falls back to the `BGPSIM_FEL`
     /// environment variable (`heap`/`calendar`), absent → binary heap.
@@ -303,14 +300,148 @@ pub(crate) enum Ev {
     },
 }
 
+/// The world state event handling reads besides the router itself —
+/// frozen for the duration of a pump, which is what lets the sharded loop
+/// share it read-only across workers.
+#[derive(Clone, Copy)]
+pub(crate) struct World<'a> {
+    pub(crate) topo: &'a Topology,
+    /// Per-AS hierarchy tiers (empty unless policies are on).
+    pub(crate) tiers: &'a [usize],
+    pub(crate) alive: &'a [bool],
+    pub(crate) dead_links: &'a std::collections::HashSet<(u32, u32)>,
+}
+
+impl World<'_> {
+    fn session_alive(&self, a: RouterId, b: RouterId) -> bool {
+        self.alive[a.index()] && self.alive[b.index()] && !self.dead_links.contains(&link_key(a, b))
+    }
+}
+
+/// Runs the handler `ev` invokes, appending its actions to `out` (cleared
+/// first). `nodes` holds the routers from index `base` on — the whole
+/// network for the serial loop, one shard's block for the sharded one.
+/// Returns the handling router and whether the event marks activity, or
+/// `None` when the event is dropped: a dead router, or a `PeerUp` on a
+/// dead session. The one place that defines each event's semantics:
+///
+/// - MRAI and reuse expiries mark activity only when they emit actions;
+/// - a `PeerDown` marks it only through a send;
+/// - every other handled event marks it.
+pub(crate) fn dispatch(
+    world: &World<'_>,
+    nodes: &mut [Option<BgpNode>],
+    base: usize,
+    t: SimTime,
+    ev: Ev,
+    out: &mut Vec<Action>,
+) -> Option<(RouterId, bool)> {
+    out.clear();
+    fn router(nodes: &mut [Option<BgpNode>], base: usize, r: RouterId) -> Option<&mut BgpNode> {
+        nodes[r.index() - base].as_mut()
+    }
+    let (node, active) = match ev {
+        Ev::Originate { node, prefix } => {
+            router(nodes, base, node)?.originate_into(t, prefix, out);
+            (node, true)
+        }
+        Ev::WithdrawOrigin { node, prefix } => {
+            router(nodes, base, node)?.withdraw_origin_into(t, prefix, out);
+            (node, true)
+        }
+        Ev::Deliver { to, from, msg } => {
+            router(nodes, base, to)?.on_update_into(t, from, msg, out);
+            (to, true)
+        }
+        Ev::ProcDone { node } => {
+            router(nodes, base, node)?.on_proc_done_into(t, out);
+            (node, true)
+        }
+        Ev::MraiExpiry {
+            node,
+            peer,
+            prefix,
+            gen,
+        } => {
+            router(nodes, base, node)?.on_mrai_expiry_into(t, peer, prefix, gen, out);
+            (node, !out.is_empty())
+        }
+        Ev::ReuseExpiry {
+            node,
+            peer,
+            prefix,
+            gen,
+        } => {
+            router(nodes, base, node)?.on_reuse_expiry_into(t, peer, prefix, gen, out);
+            (node, !out.is_empty())
+        }
+        Ev::PeerDown { node, peer } => {
+            router(nodes, base, node)?.on_peer_down_into(t, peer, out);
+            let sent = out.iter().any(|a| matches!(a, Action::Send { .. }));
+            (node, sent)
+        }
+        Ev::PeerUp { node, peer } => {
+            if !world.session_alive(node, peer) {
+                return None;
+            }
+            let ibgp = !world.topo.is_inter_as(node, peer);
+            let rel = (!world.tiers.is_empty() && !ibgp).then(|| {
+                relationship_by_tier(
+                    world.tiers[world.topo.router(node).as_id.index()],
+                    world.tiers[world.topo.router(peer).as_id.index()],
+                )
+            });
+            router(nodes, base, node)?.on_peer_up_into(t, peer, ibgp, rel, out);
+            (node, true)
+        }
+    };
+    Some((node, active))
+}
+
+/// The same-router event a non-send action schedules, and when it fires.
+pub(crate) fn follow_up(node: RouterId, t: SimTime, action: &Action) -> (SimTime, Ev) {
+    match *action {
+        Action::StartProcessing { duration } => (t + duration, Ev::ProcDone { node }),
+        Action::StartMrai {
+            peer,
+            prefix,
+            delay,
+            gen,
+        } => (
+            t + delay,
+            Ev::MraiExpiry {
+                node,
+                peer,
+                prefix,
+                gen,
+            },
+        ),
+        Action::StartReuse {
+            peer,
+            prefix,
+            delay,
+            gen,
+        } => (
+            t + delay,
+            Ev::ReuseExpiry {
+                node,
+                peer,
+                prefix,
+                gen,
+            },
+        ),
+        Action::Send { .. } => unreachable!("sends cross a link; they have no follow-up"),
+    }
+}
+
 /// Wall-clock gap between initial convergence and failure injection.
 const FAILURE_GAP: SimDuration = SimDuration::from_secs(1);
 
-/// Parses a count-valued configuration string (`BGPSIM_SHARDS`,
-/// `BGPSIM_COMMIT_STREAMS`). `None` on anything that is not a
-/// non-negative integer; `name` only labels the warning the env wrapper
-/// prints. Split from the env read so the parsing is unit-testable
-/// without racing other tests on process-global environment state.
+/// Parses a count-valued configuration string (`BGPSIM_SHARDS`). `None`
+/// on anything that is not a non-negative integer; `name` only labels the
+/// warning the env wrapper prints. Split from the env read so the parsing
+/// is unit-testable without racing other tests on process-global
+/// environment state.
 pub(crate) fn parse_count(name: &str, raw: &str) -> Option<usize> {
     match raw.trim().parse::<usize>() {
         Ok(v) => Some(v),
@@ -329,28 +460,6 @@ pub(crate) fn parse_count(name: &str, raw: &str) -> Option<usize> {
 fn env_count(name: &str) -> Option<usize> {
     let raw = std::env::var(name).ok()?;
     parse_count(name, &raw)
-}
-
-/// Resolves the epoch-commit stream count from the requested value
-/// (config field or `BGPSIM_COMMIT_STREAMS`) and the resolved shard
-/// count. Returns the stream count plus a flag that is true when the
-/// caller asked for parallel streams (`> 1`) on a run that cannot use
-/// them (`shards <= 1`): the request is clamped away, and the caller
-/// warns on stderr so a mis-set variable does not silently evaporate.
-/// Split from the env read for the same reason as [`parse_count`].
-pub(crate) fn resolve_commit_streams(requested: Option<usize>, shards: usize) -> (usize, bool) {
-    let ignored = matches!(requested, Some(r) if r > 1 && shards <= 1);
-    let streams = requested
-        .unwrap_or_else(|| {
-            // Default: one stream per shard, but never more streams
-            // than cores — on a single-core box the parallel apply
-            // would only add channel traffic, so it stays inline.
-            std::thread::available_parallelism()
-                .map(usize::from)
-                .unwrap_or(1)
-        })
-        .clamp(1, shards);
-    (streams, ignored)
 }
 
 /// Interns a node configuration in the network-level config arena: every
@@ -623,15 +732,20 @@ pub struct Network {
     /// Failed links (normalized router-id pairs); their sessions are dead
     /// but the endpoint routers live on.
     pub(crate) dead_links: std::collections::HashSet<(u32, u32)>,
+    /// Per-AS hierarchy tiers policy relationships derive from (explicit
+    /// `SimConfig::policy_tiers`, or inferred once by [`as_tiers`]);
+    /// empty when policies are off.
+    pub(crate) tiers: Vec<usize>,
     /// Resolved shard count for the event loop (1 = serial).
     pub(crate) shards: usize,
-    /// Resolved parallel commit-stream count for the sharded loop's epoch
-    /// commit (1 = inline serial apply); always `<= shards`.
-    pub(crate) commit_streams: usize,
     /// Accumulated per-phase wall-clock spent in the sharded event loop
     /// (empty for serial runs). Instrumentation only — never part of
     /// `RunStats`, so bit-identity comparisons are unaffected.
     pub(crate) shard_timings: crate::shard::ShardPhaseTimings,
+    /// Accumulated per-shard work of the sharded event loop (see
+    /// [`Network::shard_load`]); instrumentation only, like
+    /// `shard_timings`.
+    pub(crate) shard_load: Vec<crate::shard::ShardLoad>,
     /// Structured trace sink ([`TraceSink::Off`] by default — one branch
     /// per handler). Events are recorded in global delivery order, so the
     /// stream is identical under any shard count.
@@ -776,25 +890,6 @@ impl Network {
             .or_else(|| env_count("BGPSIM_SHARDS"))
             .unwrap_or(1)
             .max(1);
-        let requested_streams = cfg
-            .commit_streams
-            .or_else(|| env_count("BGPSIM_COMMIT_STREAMS"));
-        let (commit_streams, streams_ignored) = resolve_commit_streams(requested_streams, shards);
-        if streams_ignored {
-            // Warn once per process, like `parse_count` does for garbage
-            // values: asking for parallel commit streams on a serial run
-            // is a configuration mistake worth a line on stderr, not a
-            // silent no-op — but not one line per constructed network.
-            static STREAMS_IGNORED_WARN: std::sync::Once = std::sync::Once::new();
-            STREAMS_IGNORED_WARN.call_once(|| {
-                eprintln!(
-                    "warning: ignoring BGPSIM_COMMIT_STREAMS={} with shards={shards} \
-                     (parallel epoch commit needs a sharded run, BGPSIM_SHARDS > 1); \
-                     running with 1 stream",
-                    requested_streams.expect("flag only set when a value was requested"),
-                );
-            });
-        }
         let fel_kind = cfg.fel.or_else(FelKind::from_env).unwrap_or_default();
 
         Network {
@@ -819,9 +914,10 @@ impl Network {
             next_sample: SimTime::ZERO,
             samples: Vec::new(),
             dead_links: std::collections::HashSet::new(),
+            tiers,
             shards,
-            commit_streams,
             shard_timings: crate::shard::ShardPhaseTimings::default(),
+            shard_load: Vec::new(),
             trace: crate::trace::TraceSink::Off,
         }
     }
@@ -857,19 +953,17 @@ impl Network {
     }
 
     /// Stamps and records the events `node` buffered while its handler
-    /// ran at `t`. Serial-loop counterpart of the Phase B commit emission
+    /// ran at `t`. Serial-loop counterpart of the Phase B walk's emission
     /// in the `shard` module; both record in global delivery order.
     #[inline]
     fn drain_node_trace(&mut self, node: RouterId, t: SimTime) {
         if self.trace.is_off() {
             return;
         }
-        let events = match self.nodes[node.index()].as_mut() {
-            Some(n) => n.take_trace(),
-            None => return,
-        };
-        for ev in events {
-            self.trace.record(t, node, ev);
+        if let Some(n) = self.nodes[node.index()].as_mut() {
+            for ev in n.drain_trace() {
+                self.trace.record(t, node, ev);
+            }
         }
     }
 
@@ -878,17 +972,26 @@ impl Network {
         self.shards
     }
 
-    /// The resolved parallel commit-stream count for the sharded loop's
-    /// epoch commit (1 = inline serial apply). Always `<= shard_count()`;
-    /// purely a wall-clock knob — results are identical for any value.
+    /// The shard count again: each shard's Phase A now emits its own
+    /// finished mail, so the epoch has one output stream per shard and no
+    /// separate commit stage (`SimConfig::commit_streams` is inert).
     pub fn commit_stream_count(&self) -> usize {
-        self.commit_streams
+        self.shards
     }
 
     /// Accumulated per-phase wall-clock of the sharded event loop across
     /// every pump this network has run (all-zero for serial runs).
     pub fn shard_phase_timings(&self) -> crate::shard::ShardPhaseTimings {
         self.shard_timings
+    }
+
+    /// Per-shard work of the sharded event loop, summed over every pump
+    /// this network has run: events drained from each shard's FEL, events
+    /// its routers handled, and its Phase A busy seconds. Empty for serial
+    /// runs. Instrumentation only, like
+    /// [`shard_phase_timings`](Network::shard_phase_timings).
+    pub fn shard_load(&self) -> &[crate::shard::ShardLoad] {
+        &self.shard_load
     }
 
     /// The future-event-list backend this network uses.
@@ -1335,30 +1438,6 @@ impl Network {
         crate::warm::NetworkSnapshot::capture(self)
     }
 
-    /// The policy relationship of `peer` towards `node` (None when
-    /// policies are off or the session is iBGP).
-    fn relationship_between(&self, node: RouterId, peer: RouterId) -> Option<Relationship> {
-        if !self.cfg.policy || !self.topo.is_inter_as(node, peer) {
-            return None;
-        }
-        let tiers = self.policy_tier_vec();
-        Some(relationship_by_tier(
-            tiers[self.topo.router(node).as_id.index()],
-            tiers[self.topo.router(peer).as_id.index()],
-        ))
-    }
-
-    /// The per-AS hierarchy tiers policy relationships derive from —
-    /// explicit configuration when given, graph-inferred otherwise. Pure
-    /// in the topology/config, so the sharded loop precomputes it once per
-    /// pump and shares it read-only across workers.
-    pub(crate) fn policy_tier_vec(&self) -> Vec<usize> {
-        match &self.cfg.policy_tiers {
-            Some(t) => t.clone(),
-            None => as_tiers(&self.topo),
-        }
-    }
-
     /// Brings previously failed routers back: each revived router starts
     /// with empty tables, re-originates its prefixes, and re-establishes
     /// every session whose other end is alive (both ends perform the
@@ -1462,6 +1541,10 @@ impl Network {
         // when diagnosing runaway simulations). Checked once per drain:
         // an env lookup takes the env lock, far too slow per event.
         let debug_pump = std::env::var_os("BGPSIM_DEBUG_PUMP").is_some();
+        // Liveness is frozen for the whole pump: routers only fail or
+        // revive between pumps.
+        let alive: Vec<bool> = self.nodes.iter().map(Option::is_some).collect();
+        let mut actions: Vec<Action> = Vec::new();
         while let Some((t, ev)) = self.sched.next() {
             if debug_pump && self.sched.delivered_count().is_multiple_of(1_000_000) {
                 eprintln!(
@@ -1477,162 +1560,39 @@ impl Network {
                     self.next_sample = at + interval;
                 }
             }
-            self.handle(t, ev);
-        }
-    }
-
-    fn handle(&mut self, t: SimTime, ev: Ev) {
-        match ev {
-            Ev::Originate { node, prefix } => {
-                let Some(n) = self.nodes[node.index()].as_mut() else {
-                    return;
-                };
-                let actions = n.originate(t, prefix);
+            let world = World {
+                topo: &self.topo,
+                tiers: &self.tiers,
+                alive: &alive,
+                dead_links: &self.dead_links,
+            };
+            let Some((node, active)) = dispatch(&world, &mut self.nodes, 0, t, ev, &mut actions)
+            else {
+                continue;
+            };
+            if active {
                 self.last_activity = t;
-                self.drain_node_trace(node, t);
-                self.exec(node, actions);
             }
-            Ev::WithdrawOrigin { node, prefix } => {
-                let Some(n) = self.nodes[node.index()].as_mut() else {
-                    return;
-                };
-                let actions = n.withdraw_origin(t, prefix);
-                self.last_activity = t;
-                self.drain_node_trace(node, t);
-                self.exec(node, actions);
-            }
-            Ev::Deliver { to, from, msg } => {
-                let Some(n) = self.nodes[to.index()].as_mut() else {
-                    return;
-                };
-                self.last_activity = t;
-                let actions = n.on_update(t, from, msg);
-                self.drain_node_trace(to, t);
-                self.exec(to, actions);
-            }
-            Ev::ProcDone { node } => {
-                let Some(n) = self.nodes[node.index()].as_mut() else {
-                    return;
-                };
-                self.last_activity = t;
-                let actions = n.on_proc_done(t);
-                self.drain_node_trace(node, t);
-                self.exec(node, actions);
-            }
-            Ev::MraiExpiry {
-                node,
-                peer,
-                prefix,
-                gen,
-            } => {
-                let Some(n) = self.nodes[node.index()].as_mut() else {
-                    return;
-                };
-                let actions = n.on_mrai_expiry(t, peer, prefix, gen);
-                if !actions.is_empty() {
-                    self.last_activity = t;
-                }
-                self.drain_node_trace(node, t);
-                self.exec(node, actions);
-            }
-            Ev::PeerDown { node, peer } => {
-                let Some(n) = self.nodes[node.index()].as_mut() else {
-                    return;
-                };
-                let actions = n.on_peer_down(t, peer);
-                self.drain_node_trace(node, t);
-                self.exec(node, actions);
-            }
-            Ev::ReuseExpiry {
-                node,
-                peer,
-                prefix,
-                gen,
-            } => {
-                let Some(n) = self.nodes[node.index()].as_mut() else {
-                    return;
-                };
-                let actions = n.on_reuse_expiry(t, peer, prefix, gen);
-                if !actions.is_empty() {
-                    self.last_activity = t;
-                }
-                self.drain_node_trace(node, t);
-                self.exec(node, actions);
-            }
-            Ev::PeerUp { node, peer } => {
-                if !self.session_alive(node, peer) {
-                    return;
-                }
-                let ibgp = !self.topo.is_inter_as(node, peer);
-                let rel = self.relationship_between(node, peer);
-                let Some(n) = self.nodes[node.index()].as_mut() else {
-                    return;
-                };
-                self.last_activity = t;
-                let actions = n.on_peer_up(t, peer, ibgp, rel);
-                self.drain_node_trace(node, t);
-                self.exec(node, actions);
-            }
-        }
-    }
-
-    fn exec(&mut self, origin: RouterId, actions: Vec<Action>) {
-        for action in actions {
-            match action {
-                Action::Send { to, msg } => {
+            self.drain_node_trace(node, t);
+            for action in actions.drain(..) {
+                if let Action::Send { to, msg } = action {
                     if msg.action.is_advertise() {
                         self.announcements += 1;
                     } else {
                         self.withdrawals += 1;
                     }
-                    self.last_activity = self.sched.now();
                     // Messages towards failed routers are lost with the link.
-                    if self.is_alive(to) {
-                        self.sched.schedule_after(
-                            self.cfg.link_delay,
-                            Ev::Deliver {
-                                to,
-                                from: origin,
-                                msg,
-                            },
-                        );
+                    if alive[to.index()] {
+                        let ev = Ev::Deliver {
+                            to,
+                            from: node,
+                            msg,
+                        };
+                        self.sched.schedule(t + self.cfg.link_delay, ev);
                     }
-                }
-                Action::StartProcessing { duration } => {
-                    self.sched
-                        .schedule_after(duration, Ev::ProcDone { node: origin });
-                }
-                Action::StartMrai {
-                    peer,
-                    prefix,
-                    delay,
-                    gen,
-                } => {
-                    self.sched.schedule_after(
-                        delay,
-                        Ev::MraiExpiry {
-                            node: origin,
-                            peer,
-                            prefix,
-                            gen,
-                        },
-                    );
-                }
-                Action::StartReuse {
-                    peer,
-                    prefix,
-                    delay,
-                    gen,
-                } => {
-                    self.sched.schedule_after(
-                        delay,
-                        Ev::ReuseExpiry {
-                            node: origin,
-                            peer,
-                            prefix,
-                            gen,
-                        },
-                    );
+                } else {
+                    let (at, ev) = follow_up(node, t, &action);
+                    self.sched.schedule(at, ev);
                 }
             }
         }
@@ -1681,16 +1641,12 @@ impl Network {
         let n = self.topo.num_routers();
         let num_prefixes = self.origin_of_prefix.len();
         let mut result = vec![vec![false; num_prefixes]; n];
-        // u's relationship towards v (what u *is* to v) — must match the
-        // construction-time inference exactly.
-        let tiers = match &self.cfg.policy_tiers {
-            Some(t) => t.clone(),
-            None => as_tiers(&self.topo),
-        };
+        // u's relationship towards v (what u *is* to v) — the tiers the
+        // construction-time inference used.
         let rel_to = |v: RouterId, u: RouterId| {
             relationship_by_tier(
-                tiers[self.topo.router(v).as_id.index()],
-                tiers[self.topo.router(u).as_id.index()],
+                self.tiers[self.topo.router(v).as_id.index()],
+                self.tiers[self.topo.router(u).as_id.index()],
             )
         };
         // The closure depends only on the origin, so compute it once per
@@ -1871,52 +1827,31 @@ mod tests {
         // Valid values, including surrounding whitespace.
         assert_eq!(parse_count("BGPSIM_SHARDS", "4"), Some(4));
         assert_eq!(parse_count("BGPSIM_SHARDS", " 16 "), Some(16));
-        assert_eq!(parse_count("BGPSIM_COMMIT_STREAMS", "0"), Some(0));
+        assert_eq!(parse_count("BGPSIM_SHARDS", "0"), Some(0));
         // Invalid values warn (to stderr) and fall back to the default.
         assert_eq!(parse_count("BGPSIM_SHARDS", ""), None);
         assert_eq!(parse_count("BGPSIM_SHARDS", "four"), None);
         assert_eq!(parse_count("BGPSIM_SHARDS", "-2"), None);
         assert_eq!(parse_count("BGPSIM_SHARDS", "2.5"), None);
-        assert_eq!(parse_count("BGPSIM_COMMIT_STREAMS", "2,4"), None);
+        assert_eq!(parse_count("BGPSIM_SHARDS", "2,4"), None);
     }
 
     #[test]
     fn commit_stream_resolution_clamps_to_shards() {
-        let topo = small_topo(3, 10);
-        let mut cfg = SimConfig::new(1);
-        cfg.shards = Some(4);
-        cfg.commit_streams = Some(64);
-        assert_eq!(Network::new(topo, cfg).commit_stream_count(), 4);
-
-        let topo = small_topo(3, 10);
-        let mut cfg = SimConfig::new(1);
-        cfg.shards = Some(4);
-        cfg.commit_streams = Some(0);
-        let net = Network::new(topo, cfg);
-        assert_eq!(net.commit_stream_count(), 1, "0 means inline apply");
-        assert_eq!(
-            net.shard_phase_timings().epochs,
-            0,
-            "no pump has run yet, timings start empty"
-        );
-    }
-
-    #[test]
-    fn commit_streams_request_without_shards_is_flagged() {
-        // > 1 streams requested on a serial run: clamped to 1 AND flagged
-        // so `Network::new` prints the once-per-process stderr warning —
-        // previously this evaporated silently.
-        assert_eq!(resolve_commit_streams(Some(4), 1), (1, true));
-        assert_eq!(resolve_commit_streams(Some(2), 1), (1, true));
-        // 1 (or 0 = "inline apply") is exactly what a serial run does
-        // anyway — nothing is being ignored, so no warning.
-        assert_eq!(resolve_commit_streams(Some(1), 1), (1, false));
-        assert_eq!(resolve_commit_streams(Some(0), 1), (1, false));
-        // Sharded runs honor the request, clamped to the shard count.
-        assert_eq!(resolve_commit_streams(Some(4), 2), (2, false));
-        assert_eq!(resolve_commit_streams(Some(2), 4), (2, false));
-        // No request at all: the default is never "ignored".
-        assert_eq!(resolve_commit_streams(None, 1), (1, false));
+        // The stream count is inert: whatever is requested, the network
+        // reports one output stream per shard.
+        for requested in [None, Some(0), Some(1), Some(64)] {
+            let mut cfg = SimConfig::new(1);
+            cfg.shards = Some(4);
+            cfg.commit_streams = requested;
+            let net = Network::new(small_topo(3, 10), cfg);
+            assert_eq!(net.commit_stream_count(), 4, "{requested:?} streams");
+            assert_eq!(
+                net.shard_phase_timings().epochs,
+                0,
+                "no pump has run yet, timings start empty"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The sharded deterministic event loop — conservative PDES with
 //! link-delay lookahead, **shard-owned future-event lists**, and a
-//! destination-partitioned parallel commit (DESIGN.md §13).
+//! **single-pass epoch** (DESIGN.md §10, §13).
 //!
 //! Every inter-node interaction in this model crosses a link with a fixed
 //! one-way delay (`SimConfig::link_delay`, the paper's 25 ms), so an event
@@ -13,45 +13,39 @@
 //! There is no central event list while the loop runs. At pump start the
 //! network's FEL is **partitioned**: drained wholesale and every event
 //! re-inserted (under its existing `(time, id)` key) into its owning
-//! shard's private [`Fel`] of the same backend. From then on inserts and
-//! the per-epoch drain are shard-local; the only cross-shard traffic is
-//! fixed-order mailbox chunks exchanged at the epoch barrier. Each epoch:
+//! shard's private [`Fel`] of the same backend. Each epoch then has two
+//! phases:
 //!
-//! 1. **Execute (parallel, Phase A).** Every *engaged* shard — one with
-//!    an event or pending mail before `epoch_end = t0 + lookahead` —
-//!    first files its mailbox chunks into its FEL, drains its FEL to
-//!    `epoch_end`, then runs its routers' handlers in local `(time, key)`
-//!    order, feeding handler-created *same-node* events that land inside
-//!    the epoch (ProcDone, MRAI/reuse expiries) back into a local heap
-//!    with keys above [`LOCAL_KEY_BASE`], and records one action trace
-//!    per handled event plus one `(time, id, walk-entry)` index row per
-//!    drained event. Cross-node sends always land at
-//!    `t + link_delay >= epoch_end`, i.e. outside the epoch — the
-//!    lookahead argument — so shards never need to talk mid-epoch. Jobs
-//!    run on the process-wide parked worker pool ([`crate::pool`]); small
-//!    epochs (predicted from the previous epoch's size, see
+//! 1. **Execute (parallel, Phase A).** Every *engaged* shard — one with an
+//!    event before `epoch_end = t0 + lookahead`, or with mail from the
+//!    previous epoch — files that mail into its FEL, drains the FEL to
+//!    `epoch_end` and runs its routers' handlers in local `(time, key)`
+//!    order. Each handler's actions become finished output as soon as they
+//!    are returned: sends to live routers, and timers that fire at or after
+//!    `epoch_end`, go into per-destination-shard outboxes as [`Mail`] under
+//!    a *deferred id* `(record, offset)`; timers inside the epoch go into a
+//!    local heap (keys above [`LOCAL_KEY_BASE`]) and run in this same pass.
+//!    Message counters, the delivered count and the activity clock are
+//!    summed or maxed per shard. The shard hands the walk one compact
+//!    [`Rec`] per handled event that needs ids or carries trace events.
+//!    Cross-node sends always land at `t + link_delay >= epoch_end` — the
+//!    lookahead argument — so shards never talk mid-epoch. Jobs run on the
+//!    process-wide parked worker pool ([`crate::pool`]); small epochs
+//!    (predicted from the previous epoch's size, see
 //!    [`PHASE_A_PAR_MIN_OPS`]) run inline on the coordinator instead.
-//! 2. **Walk (serial, Phase B).** Merge the shards' index rows into one
-//!    replay heap and walk the epoch in global `(time, id)` order — but
-//!    apply only the side effects that *need* the order: advance the
-//!    clock and delivered count, consume the matching recorded trace,
-//!    allocate *real* event ids for every action in exactly the order a
-//!    serial run would, track the activity clock, and bin each event's
-//!    recorded actions into per-destination commit streams (keyed by the
-//!    BGP prefix the event concerns; destinations are causally
-//!    independent within an epoch). The walk touches no message payloads
+//! 2. **Walk (serial, Phase B).** Merge the shards' record lists in global
+//!    `(time, id)` order, allocate each record's ids as one block
+//!    (`id_base`), and emit its trace events. The walk touches no payloads
 //!    — it is the irreducible serial fraction.
-//! 3. **Apply (parallel) + exchange (serial).** Each commit stream
-//!    independently expands its binned actions into per-destination-shard
-//!    mail chunks (`Deliver` at `t + link_delay`, cross-epoch timer
-//!    expiries) under the pre-allocated ids, bumps private message
-//!    counters, and collects its trace events. Streams run on the worker
-//!    pool when the epoch is large enough to pay for the fan-out, inline
-//!    otherwise — the outputs are identical either way. The exchange then
-//!    sums the counters, emits trace events in commit order, and routes
-//!    each stream's chunks into the destination shards' mailboxes —
-//!    replacing PR 6's serial k-way merge back into a global heap with
-//!    O(streams × shards) pointer moves.
+//!
+//! At the next epoch's Phase A the destination shard files each piece of
+//! mail under `id = id_base + offset`, reading the source shard's record
+//! table. **File-next-epoch rule:** every shard with incoming mail is
+//! engaged in the very next epoch, even when it has no event of its own
+//! before `epoch_end`, so every record table is read within one epoch of
+//! its walk and is then cleared and reused. Every per-epoch buffer (drain
+//! batch, action buffer, records, trace, outboxes) is retained across
+//! epochs.
 //!
 //! ## Why this is bit-identical to the serial loop
 //!
@@ -60,93 +54,84 @@
 //! events, so reproducing serial behavior means reproducing exact id
 //! assignment, not just timestamps.
 //!
-//! *Per-node order.* For one router, a worker's `(time, key)` order
-//! equals the serial `(time, id)` order: drained events carry their real
-//! ids in both; intra-epoch self-events sort after every drained event at
-//! the same instant in both (worker keys start at [`LOCAL_KEY_BASE`],
-//! real ids of intra-epoch creations exceed every pre-epoch id); and two
-//! self-events of the same node tie-break by creation order in both.
+//! *Per-node order.* For one router, a shard's `(time, key)` order equals
+//! the serial `(time, id)` order: drained events carry their real ids in
+//! both; intra-epoch self-events sort after every drained event at the
+//! same instant in both (local keys start at [`LOCAL_KEY_BASE`], real ids
+//! of intra-epoch creations exceed every pre-epoch id); and two self-events
+//! of the same shard tie-break by creation order in both (the local key
+//! `(record, offset)` *is* the creation order, and so is the serial id).
 //! Handler inputs are thus identical event-by-event, and node state
 //! (including the node's private RNG stream) evolves identically.
 //!
-//! *Cross-node order.* Routers share no mutable state during an epoch —
-//! aliveness, dead links, sessions, topology, and policy tiers are all
-//! frozen while the queues drain — so cross-node interleaving inside an
-//! epoch is unobservable to the nodes. Every *global* side effect is
-//! either applied by the serial walk in serial order (clock, delivered
-//! count, id allocation, activity clock) or is order-independent and
-//! reconciled by the exchange (counter sums; mailbox inserts under
-//! pre-assigned `(time, id)` keys — a FEL's delivery order is a pure
-//! function of those keys, not of insertion order, so neither the chunk
-//! routing order nor which FEL an event sits in is observable; trace
-//! emission, restored to commit order by the plan-index merge). The union
-//! of the shard FELs and mailboxes at every epoch boundary is therefore
-//! the exact event set a serial run's scheduler would hold, with the same
-//! keys, which carries the invariant into the next epoch — and makes
-//! `RunStats`, goldens, warm-start snapshots and trace streams
-//! independent of both the shard count and the commit-stream count. At
-//! pump exit the shard FELs are empty, the walk has settled all clock and
+//! *Ids.* While handling one event, the serial loop schedules its actions
+//! in order — every timer, and every send to a live router — and nothing
+//! else allocates an id in between. So one event's ids form a block that
+//! starts wherever the serial counter stands when the event is handled,
+//! and its k-th scheduled action gets `base + k`. Phase A numbers the
+//! scheduled actions of each record `0, 1, 2, …` (the offset); the walk
+//! visits the records in serial `(time, id)` order and hands each the
+//! next block of the counter. So `id_base + offset` is the serial id. An
+//! intra-epoch follow-up's own sort key is resolved the same way while the
+//! walk runs — its creator precedes it in the same shard's record list, so
+//! the creator's block is known by the time it is compared.
+//!
+//! *Everything else.* Routers share no mutable state during an epoch —
+//! aliveness, dead links, sessions, topology, and policy tiers are frozen
+//! while the queues drain — so cross-node interleaving inside an epoch is
+//! unobservable to the nodes. The remaining global effects are
+//! order-free: the delivered count and message counters are sums, the
+//! clock and the activity clock are maxima (the serial loop's last value
+//! is the latest time), and a FEL's delivery order is a pure function of
+//! the `(time, id)` keys, not of insertion order, so which FEL an event
+//! sits in and when it was filed are unobservable. Trace events go out in
+//! walk (= serial) order. The union of the shard FELs and outboxes at
+//! every epoch boundary is therefore the exact event set a serial run's
+//! scheduler would hold, with the same keys, which carries the invariant
+//! into the next epoch — and makes `RunStats`, goldens, warm-start
+//! snapshots and trace streams independent of the shard count. At pump
+//! exit the shard FELs are empty, the walk has settled all clock and
 //! counter accounting on the (now empty) central FEL, and the network is
 //! indistinguishable from one a serial pump quiesced.
 //!
-//! *Why destinations.* A BGP update concerns exactly one prefix, and
-//! within an epoch the actions recorded for different prefixes never
-//! read each other's state — the per-destination logical queues of the
-//! batching scheme make the same independence explicit at the node
-//! level. Binning by destination therefore yields streams whose applies
-//! commute; events with no prefix (ProcDone, PeerDown/Up, per-peer MRAI)
-//! bin by owning router instead, which is equally order-free at this
-//! stage because *all* ordered effects already happened in the walk.
-//!
-//! *Mailbox ordering rule.* A mailbox chunk is one commit stream's mail
-//! for one destination shard, id-ascending within the chunk; chunks are
-//! routed in stream-major order and filed into the destination FEL before
-//! that shard's next drain. None of those orders matter for correctness —
-//! only the `(time, id)` keys do — but fixing them keeps the engine's
-//! internal traversal deterministic too. An event landing exactly on an
-//! epoch boundary is *not* drained (the window is half-open) and is
-//! delivered at the start of the next epoch, exactly where the serial
-//! order puts it; the epoch start `t0` is the minimum over the shards'
-//! FEL heads *and* undelivered mailbox chunks, so mail can never be
-//! skipped past.
+//! An event landing exactly on an epoch boundary is *not* drained (the
+//! window is half-open) and is delivered in the next epoch, exactly where
+//! the serial order puts it; the epoch start `t0` is the minimum over the
+//! shards' FEL heads *and* undelivered mail, so mail can never be skipped
+//! past.
 //!
 //! The loop falls back to serial for `shards <= 1`, zero link delay (no
 //! lookahead), and sampling runs (samples read global state mid-epoch).
 
-use std::collections::{BinaryHeap, HashSet, VecDeque};
-use std::sync::Mutex;
+use std::collections::BinaryHeap;
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
 use bgpsim_bgp::node::Action;
-use bgpsim_bgp::policy::relationship_by_tier;
 use bgpsim_bgp::trace::NodeEvent;
 use bgpsim_bgp::BgpNode;
 use bgpsim_des::{EventId, Fel, SimDuration, SimTime};
-use bgpsim_topology::{RouterId, Topology};
+use bgpsim_topology::RouterId;
 
-use crate::network::{link_key, Ev, Network};
+use crate::network::{dispatch, follow_up, Ev, Network, World};
+use crate::trace::TraceSink;
 
-/// Worker-local sort keys for intra-epoch self-events start here — above
+/// Shard-local sort keys for intra-epoch self-events start here — above
 /// any real event id, so a drained event always outranks a same-instant
-/// self-event, exactly like real id assignment would order them.
+/// self-event, exactly like real id assignment would order them. Below
+/// the base bit a local key is `record << 32 | offset`: the creating
+/// record and the action's offset within it.
 const LOCAL_KEY_BASE: u64 = 1 << 63;
 
-/// Epochs with fewer committed ops than this apply their commit streams
-/// inline: even a parked-pool wake costs more than the work. Deliberately
-/// low so modest test topologies still exercise the parallel path; the
-/// outputs are identical either way.
-const COMMIT_PAR_MIN_OPS: usize = 16;
-
-/// Epochs *predicted* to drain fewer events than this run Phase A on the
+/// Epochs *predicted* to handle fewer events than this run Phase A on the
 /// coordinator thread instead of the worker pool — waking workers costs
 /// more than executing a handful of handlers directly. The predictor is
-/// the previous epoch's drained count (the drain is now shard-local, so
-/// the coordinator no longer sees the count before fan-out); epoch sizes
-/// are strongly autocorrelated, and a misprediction costs only wall
-/// clock, never correctness. Mirrors [`COMMIT_PAR_MIN_OPS`], and like it
-/// is deliberately low so modest test topologies still exercise the
-/// fan-out path; the outputs are identical either way (the shared
-/// [`run_shard_epoch`] body runs on either thread).
+/// the previous epoch's delivered count (the drain is shard-local, so the
+/// coordinator does not see the count before fan-out); epoch sizes are
+/// strongly autocorrelated, and a misprediction costs only wall clock,
+/// never correctness. Deliberately low so modest test topologies still
+/// exercise the fan-out path; the outputs are identical either way (the
+/// shared [`run_shard_epoch`] body runs on either thread).
 const PHASE_A_PAR_MIN_OPS: usize = 16;
 
 /// Cumulative wall-clock the sharded event loop spent per stage, exposed
@@ -154,15 +139,14 @@ const PHASE_A_PAR_MIN_OPS: usize = 16;
 /// part of `RunStats`, so bit-identity comparisons are unaffected.
 ///
 /// The Amdahl read: `phase_b_secs` (the serial walk) plus `drain_secs`
-/// and `mailbox_exchange_secs` (the serial partition/steering remainder)
-/// bound the speedup shards can buy; `phase_a_secs` and the parallel part
-/// of `merge_secs` scale with cores.
+/// and `mailbox_exchange_secs` (the serial partition/barrier remainder)
+/// bound the speedup shards can buy; `phase_a_secs` scales with cores.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ShardPhaseTimings {
     /// Epochs the loop ran.
     pub epochs: u64,
-    /// Epochs whose commit streams ran on the worker pool (the rest
-    /// applied inline — too few ops, or one stream configured).
+    /// Always 0: the single-pass epoch has no commit stage to run in
+    /// parallel. Kept so existing readers of the struct still build.
     pub parallel_commit_epochs: u64,
     /// Epochs whose Phase A ran on the coordinator thread (predicted
     /// smaller than [`PHASE_A_PAR_MIN_OPS`] — a pool wake would cost more
@@ -172,18 +156,18 @@ pub struct ShardPhaseTimings {
     /// partition of the central FEL onto the shards, plus the per-epoch
     /// `t0`/engagement scan over the shards' cached heads.
     pub drain_secs: f64,
-    /// Mail filing + shard-local drain + parallel node execution +
-    /// barrier (Phase A).
+    /// Mail filing + shard-local drain + parallel node execution and mail
+    /// emission + barrier (Phase A).
     pub phase_a_secs: f64,
-    /// The serial order walk: id allocation, delivery accounting,
-    /// activity clock, commit-stream binning (Phase B).
+    /// The serial order walk: id-block allocation and trace emission
+    /// (Phase B).
     pub phase_b_secs: f64,
-    /// Commit-stream apply (parallel or inline) + counter sums + trace
-    /// emission in commit order.
+    /// Always 0: there is no commit stage to merge. Kept so existing
+    /// readers of the struct still build.
     pub merge_secs: f64,
-    /// Routing each stream's mail chunks into the destination shards'
-    /// mailboxes at the epoch barrier — the serial step that replaced
-    /// PR 6's id-ordered k-way merge back into a central heap.
+    /// The barrier step between the phases: retiring the filed outputs,
+    /// summing the per-shard counters and finding each shard's earliest
+    /// incoming mail.
     pub mailbox_exchange_secs: f64,
 }
 
@@ -211,7 +195,7 @@ impl ShardPhaseTimings {
 
     /// The serial fraction of the instrumented wall-clock: everything the
     /// coordinator must do alone (partition/steering, the order walk, the
-    /// exchange) over the total. The Amdahl bound on shard speedup.
+    /// barrier step) over the total. The Amdahl bound on shard speedup.
     pub fn serial_fraction(&self) -> f64 {
         let total = self.total_secs();
         if total == 0.0 {
@@ -219,6 +203,20 @@ impl ShardPhaseTimings {
         }
         (self.drain_secs + self.phase_b_secs + self.mailbox_exchange_secs) / total
     }
+}
+
+/// One shard's share of the sharded loop's work, summed over pumps (see
+/// [`Network::shard_load`]). Instrumentation only.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct ShardLoad {
+    /// Events the shard delivered: drained from its FEL, or fired from its
+    /// intra-epoch heap. Over all shards this is the delivered count.
+    pub drained: u64,
+    /// Delivered events whose handler ran (the rest hit a dead router or
+    /// a dead session).
+    pub handled: u64,
+    /// Wall-clock seconds the shard spent in Phase A.
+    pub busy_secs: f64,
 }
 
 /// Min-heap entry ordered by `(at, key)`.
@@ -246,36 +244,6 @@ impl<T> Ord for Pending<T> {
     }
 }
 
-/// What the walk must do for one replayed event — a compact stand-in for
-/// the event that avoids cloning message payloads.
-#[derive(Clone, Copy)]
-enum CommitKind {
-    /// Originate / Deliver / ProcDone: handled iff the node is alive;
-    /// marks activity whenever handled.
-    Activity,
-    /// MraiExpiry / ReuseExpiry: handled iff alive; marks activity only
-    /// when the handler produced actions.
-    Timer,
-    /// PeerDown: handled iff alive; never marks activity by itself.
-    Silent,
-    /// PeerUp: handled iff the session to `peer` is up; marks activity.
-    PeerUp {
-        /// The session peer being (re-)established.
-        peer: RouterId,
-    },
-}
-
-/// One walk replay entry.
-struct CommitEv {
-    node: RouterId,
-    kind: CommitKind,
-    /// Destination key binning this event's actions onto a commit stream:
-    /// the prefix the event concerns, or the owning router for events
-    /// with no prefix. Any deterministic mapping preserves bit-identity;
-    /// prefix-major is what makes the streams load-balance.
-    dest: u32,
-}
-
 /// The router whose handler an event invokes.
 fn owner(ev: &Ev) -> RouterId {
     match ev {
@@ -290,449 +258,304 @@ fn owner(ev: &Ev) -> RouterId {
     }
 }
 
-/// The walk semantics of an event (mirrors `Network::handle`).
-fn commit_kind(ev: &Ev) -> CommitKind {
-    match ev {
-        Ev::Originate { .. }
-        | Ev::WithdrawOrigin { .. }
-        | Ev::Deliver { .. }
-        | Ev::ProcDone { .. } => CommitKind::Activity,
-        Ev::MraiExpiry { .. } | Ev::ReuseExpiry { .. } => CommitKind::Timer,
-        Ev::PeerDown { .. } => CommitKind::Silent,
-        Ev::PeerUp { peer, .. } => CommitKind::PeerUp { peer: *peer },
-    }
-}
-
-/// The destination stream key of an event: its prefix where it has one,
-/// its owning router otherwise.
-fn commit_dest(ev: &Ev) -> u32 {
-    match ev {
-        Ev::Originate { prefix, .. } | Ev::WithdrawOrigin { prefix, .. } => prefix.index() as u32,
-        Ev::Deliver { msg, .. } => msg.prefix.index() as u32,
-        Ev::ReuseExpiry { prefix, .. } => prefix.index() as u32,
-        Ev::MraiExpiry { node, prefix, .. } => {
-            prefix.map_or(node.index() as u32, |p| p.index() as u32)
-        }
-        Ev::ProcDone { node } | Ev::PeerDown { node, .. } | Ev::PeerUp { node, .. } => {
-            node.index() as u32
-        }
-    }
-}
-
-/// The commit stream a destination key bins into.
-///
-/// A plain `dest % streams` aliases badly on full-table workloads: prefix
-/// slots are handed out in contiguous per-AS blocks, so the prefixes a
-/// single origin withdraws in one burst are *strided* — whenever the block
-/// size shares a factor with the stream count, whole bursts land in one or
-/// two streams and the parallel commit degenerates to serial. A
-/// multiply-shift mix (Fibonacci hashing; the constant is
-/// `2^64 / golden ratio`) decorrelates the low bits first. The binning is
-/// unobservable in simulator output — stream ops are replayed in
-/// `plan_idx` order keyed by pre-allocated `(time, id)` — so this choice
-/// only affects load balance, never results (the byte-identity suite pins
-/// that).
-fn stream_of(dest: u32, streams: usize) -> usize {
-    (((dest as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % streams
-}
-
-/// The same-node follow-up event an action asks the driver to schedule
-/// (`None` for sends, which cross a link and leave the epoch).
-fn follow_up(origin: RouterId, t: SimTime, action: &Action) -> Option<(SimTime, Ev)> {
-    match action {
-        Action::Send { .. } => None,
-        Action::StartProcessing { duration } => {
-            Some((t + *duration, Ev::ProcDone { node: origin }))
-        }
-        Action::StartMrai {
-            peer,
-            prefix,
-            delay,
-            gen,
-        } => Some((
-            t + *delay,
-            Ev::MraiExpiry {
-                node: origin,
-                peer: *peer,
-                prefix: *prefix,
-                gen: *gen,
-            },
-        )),
-        Action::StartReuse {
-            peer,
-            prefix,
-            delay,
-            gen,
-        } => Some((
-            t + *delay,
-            Ev::ReuseExpiry {
-                node: origin,
-                peer: *peer,
-                prefix: *prefix,
-                gen: *gen,
-            },
-        )),
-    }
-}
-
-/// When a non-send action's follow-up event fires — `follow_up` without
-/// building the event, for the walk's intra-epoch test.
-fn follow_at(t: SimTime, action: &Action) -> SimTime {
-    match action {
-        Action::StartProcessing { duration } => t + *duration,
-        Action::StartMrai { delay, .. } | Action::StartReuse { delay, .. } => t + *delay,
-        Action::Send { .. } => unreachable!("sends have no same-node follow-up"),
-    }
-}
-
-/// Walk semantics and destination key of a non-send action's follow-up.
-fn follow_commit(origin: RouterId, action: &Action) -> (CommitKind, u32) {
-    match action {
-        Action::StartProcessing { .. } => (CommitKind::Activity, origin.index() as u32),
-        Action::StartMrai { prefix, .. } => (
-            CommitKind::Timer,
-            prefix.map_or(origin.index() as u32, |p| p.index() as u32),
-        ),
-        Action::StartReuse { prefix, .. } => (CommitKind::Timer, prefix.index() as u32),
-        Action::Send { .. } => unreachable!("sends have no same-node follow-up"),
-    }
-}
-
-/// Read-only world state shared by every shard worker. Everything here is
-/// frozen while the queue drains, which is what makes the parallel phases
-/// safe.
-#[derive(Clone, Copy)]
-struct ShardCtx<'a> {
-    topo: &'a Topology,
-    policy: bool,
-    tiers: Option<&'a [usize]>,
-    alive: &'a [bool],
-    dead_links: &'a HashSet<(u32, u32)>,
-}
-
-impl ShardCtx<'_> {
-    fn session_alive(&self, a: RouterId, b: RouterId) -> bool {
-        self.alive[a.index()] && self.alive[b.index()] && !self.dead_links.contains(&link_key(a, b))
-    }
-}
-
-/// Runs one event's node handler, mirroring the dispatch arms of
-/// `Network::handle` without any of their global side effects. Returns
-/// `None` when the serial engine would have dropped the event (dead node
-/// or dead session).
-fn dispatch(
-    ctx: &ShardCtx<'_>,
-    nodes: &mut [Option<BgpNode>],
-    base: usize,
+/// One handled event's share of the walk: what it needs to sort the event
+/// into serial order, hand it its id block and emit its trace.
+struct Rec {
+    /// Delivery time.
     t: SimTime,
-    ev: Ev,
-) -> Option<(RouterId, Vec<Action>)> {
-    match ev {
-        Ev::Originate { node, prefix } => {
-            let n = nodes[node.index() - base].as_mut()?;
-            Some((node, n.originate(t, prefix)))
-        }
-        Ev::WithdrawOrigin { node, prefix } => {
-            let n = nodes[node.index() - base].as_mut()?;
-            Some((node, n.withdraw_origin(t, prefix)))
-        }
-        Ev::Deliver { to, from, msg } => {
-            let n = nodes[to.index() - base].as_mut()?;
-            Some((to, n.on_update(t, from, msg)))
-        }
-        Ev::ProcDone { node } => {
-            let n = nodes[node.index() - base].as_mut()?;
-            Some((node, n.on_proc_done(t)))
-        }
-        Ev::MraiExpiry {
-            node,
-            peer,
-            prefix,
-            gen,
-        } => {
-            let n = nodes[node.index() - base].as_mut()?;
-            Some((node, n.on_mrai_expiry(t, peer, prefix, gen)))
-        }
-        Ev::PeerDown { node, peer } => {
-            let n = nodes[node.index() - base].as_mut()?;
-            Some((node, n.on_peer_down(t, peer)))
-        }
-        Ev::ReuseExpiry {
-            node,
-            peer,
-            prefix,
-            gen,
-        } => {
-            let n = nodes[node.index() - base].as_mut()?;
-            Some((node, n.on_reuse_expiry(t, peer, prefix, gen)))
-        }
-        Ev::PeerUp { node, peer } => {
-            if !ctx.session_alive(node, peer) {
-                return None;
-            }
-            let ibgp = !ctx.topo.is_inter_as(node, peer);
-            let rel = if ctx.policy && !ibgp {
-                let tiers = ctx.tiers.expect("policy runs carry tiers");
-                Some(relationship_by_tier(
-                    tiers[ctx.topo.router(node).as_id.index()],
-                    tiers[ctx.topo.router(peer).as_id.index()],
-                ))
-            } else {
-                None
-            };
-            let n = nodes[node.index() - base].as_mut()?;
-            Some((node, n.on_peer_up(t, peer, ibgp, rel)))
-        }
-    }
-}
-
-/// A shard's Phase A trace: per event it handled, in its execution order,
-/// the actions the handler returned and the trace events it buffered
-/// (always empty with tracing off).
-type EpochTrace = Vec<(RouterId, Vec<Action>, Vec<NodeEvent>)>;
-/// One scheduler entry in flight between shards: `(time, id, event)`.
-type MailEntry = (SimTime, u64, Ev);
-
-/// One committed event's share of the epoch commit plan, produced by the
-/// walk in global `(time, id)` order and consumed by a commit stream.
-struct ApplyOp {
-    /// Position in the walk's commit order — the key the merge uses to
-    /// restore global trace order across streams.
-    plan_idx: u32,
-    /// Commit (delivery) time of the event.
-    t: SimTime,
-    /// The router whose handler produced the actions.
-    node: RouterId,
-    /// First event id the walk allocated for this op's actions; the
-    /// stream re-derives per-action ids by replaying the walk's
-    /// allocation rule (sends to dead routers consume no id).
+    /// Sort key: the real id of a drained event, or the local key of an
+    /// intra-epoch follow-up (resolved against its creator by the walk).
+    key: u64,
+    /// First id of this record's block, written by the walk and read by
+    /// the mail's destination next epoch.
     id_base: u64,
-    /// The handler's recorded actions.
-    actions: Vec<Action>,
-    /// The handler's buffered trace events (empty with tracing off).
-    events: Vec<NodeEvent>,
+    /// The router whose handler ran.
+    node: RouterId,
+    /// Ids the handler's actions consume (the scheduled ones).
+    ids: u32,
+    /// End of this record's trace events in [`EpochOut::trace`].
+    trace_end: u32,
 }
 
-/// What one commit stream hands back to the exchange.
-struct ApplyOut {
-    /// Mail chunks per destination shard: scheduler entries under
-    /// pre-allocated ids, id-ascending within each chunk.
-    mail: Vec<Vec<MailEntry>>,
-    /// Earliest entry time per destination shard (`None` for an empty
-    /// chunk) — pre-computed here, in parallel, so the serial exchange
-    /// only moves pointers.
+/// A scheduler entry in flight between epochs, under a deferred id:
+/// `id_base` of record `rec` of the source shard's output, plus `off`.
+struct Mail {
+    at: SimTime,
+    rec: u32,
+    off: u32,
+    ev: Ev,
+}
+
+/// One shard's output for one epoch. Two per shard alternate — one being
+/// built in Phase A, one being read by the walk and then by the next
+/// epoch's mail filing — and both keep their capacity.
+struct EpochOut {
+    recs: Vec<Rec>,
+    /// Trace events of every record, in execution order (tracing only).
+    trace: Vec<NodeEvent>,
+    /// Mail per destination shard. Behind a mutex only so the destination
+    /// can drain its part while other shards read `recs`; each is locked
+    /// by exactly one thread per epoch.
+    mail: Vec<Mutex<Vec<Mail>>>,
+    /// Earliest mail time per destination shard.
     mail_min: Vec<Option<SimTime>>,
-    /// Advertisements sent by this stream's ops.
+    /// Events delivered (handled or dropped) and the latest of their times.
+    delivered: u64,
+    t_last: SimTime,
+    /// Latest time an event marked activity.
+    active_at: Option<SimTime>,
     announcements: u64,
-    /// Withdrawals sent by this stream's ops.
     withdrawals: u64,
-    /// Trace events per op, `plan_idx`-ascending.
-    traced: Vec<(u32, SimTime, RouterId, Vec<NodeEvent>)>,
+    /// The shard FEL's head after the drain — cached so the coordinator's
+    /// per-epoch `t0` scan never has to lock an unengaged shard.
+    next_peek: Option<SimTime>,
 }
 
-impl ApplyOut {
-    fn empty(shards: usize) -> ApplyOut {
-        ApplyOut {
-            mail: (0..shards).map(|_| Vec::new()).collect(),
+impl EpochOut {
+    fn new(shards: usize) -> EpochOut {
+        EpochOut {
+            recs: Vec::new(),
+            trace: Vec::new(),
+            mail: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             mail_min: vec![None; shards],
+            delivered: 0,
+            t_last: SimTime::ZERO,
+            active_at: None,
             announcements: 0,
             withdrawals: 0,
-            traced: Vec::new(),
+            next_peek: None,
+        }
+    }
+
+    /// Empties the output for reuse, keeping every buffer's capacity. Its
+    /// mail must have been filed already.
+    fn reset(&mut self) {
+        self.recs.clear();
+        self.trace.clear();
+        for (mail, min) in self.mail.iter_mut().zip(&mut self.mail_min) {
+            let mail = mail.get_mut().expect("mail mutex poisoned");
+            debug_assert!(mail.is_empty(), "mail outlived its filing epoch");
+            *min = None;
+        }
+        self.delivered = 0;
+        self.t_last = SimTime::ZERO;
+        self.active_at = None;
+        self.announcements = 0;
+        self.withdrawals = 0;
+    }
+
+    fn push_mail(&mut self, dest: usize, mail: Mail) {
+        let min = &mut self.mail_min[dest];
+        if min.is_none_or(|m| mail.at < m) {
+            *min = Some(mail.at);
+        }
+        self.mail[dest]
+            .get_mut()
+            .expect("mail mutex poisoned")
+            .push(mail);
+    }
+
+    /// The real id behind a record's sort key (see [`Rec::key`]).
+    fn resolve(&self, key: u64) -> u64 {
+        if key < LOCAL_KEY_BASE {
+            key
+        } else {
+            let local = key - LOCAL_KEY_BASE;
+            self.recs[(local >> 32) as usize].id_base + (local & u64::from(u32::MAX))
         }
     }
 }
 
-/// Expands one commit stream's ops into per-destination-shard mail
-/// chunks, message counters and trace batches. Pure with respect to
-/// global state: the same inputs give the same outputs whether this runs
-/// inline or on a worker, which is what makes the stream count a
-/// wall-clock-only knob.
-fn apply_ops(
-    alive: &[bool],
-    shard_of: &[usize],
-    shards: usize,
+/// What every Phase A job reads, frozen for the pump.
+#[derive(Clone, Copy)]
+struct EpochCtx<'a> {
+    world: World<'a>,
+    shard_of: &'a [u32],
     link_delay: SimDuration,
-    epoch_end: SimTime,
-    ops: Vec<ApplyOp>,
-) -> ApplyOut {
-    let mut out = ApplyOut::empty(shards);
-    let push = |out: &mut ApplyOut, node: RouterId, entry: MailEntry| {
-        let s = shard_of[node.index()];
-        let min = &mut out.mail_min[s];
-        if min.is_none_or(|m| entry.0 < m) {
-            *min = Some(entry.0);
-        }
-        out.mail[s].push(entry);
-    };
-    for op in ops {
-        if !op.events.is_empty() {
-            out.traced.push((op.plan_idx, op.t, op.node, op.events));
-        }
-        // Re-derive the per-action ids the walk allocated: consecutive
-        // from id_base, skipping sends to dead routers (the serial loop
-        // never schedules those).
-        let mut next_id = op.id_base;
-        for action in op.actions {
-            if let Action::Send { to, msg } = action {
-                if msg.action.is_advertise() {
-                    out.announcements += 1;
-                } else {
-                    out.withdrawals += 1;
-                }
-                // Messages towards failed routers are lost with the link.
-                if alive[to.index()] {
-                    let at2 = op.t + link_delay;
-                    debug_assert!(at2 >= epoch_end, "send inside lookahead window");
-                    let ev2 = Ev::Deliver {
-                        to,
-                        from: op.node,
-                        msg,
-                    };
-                    push(&mut out, to, (at2, next_id, ev2));
-                    next_id += 1;
-                }
-            } else {
-                let (at2, ev2) = follow_up(op.node, op.t, &action).expect("non-send follows up");
-                let id = next_id;
-                next_id += 1;
-                if at2 >= epoch_end {
-                    // Cross-epoch follow-up: becomes real mail for the
-                    // owner's shard. (Intra-epoch ones were replayed by
-                    // the walk and never reach a stream.)
-                    push(&mut out, op.node, (at2, id, ev2));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Executes one shard's epoch batch: run the local `(time, key)` order to
-/// exhaustion, feeding intra-epoch same-node follow-ups back into the
-/// heap, and record one `(node, actions, trace)` entry per handled event
-/// in execution order. The handler-running half of Phase A for one shard
-/// — shared verbatim by the pool jobs and the coordinator's inline path
-/// for small epochs, so the two paths cannot diverge. `local` must be
-/// empty on entry; the loop leaves it empty again (every intra-epoch
-/// follow-up fires before `epoch_end` by construction).
-fn run_epoch_batch(
-    ctx: &ShardCtx<'_>,
-    base: usize,
-    nodes: &mut [Option<BgpNode>],
-    local: &mut BinaryHeap<Pending<Ev>>,
-    epoch_end: SimTime,
-    batch: Vec<(SimTime, u64, Ev)>,
-) -> EpochTrace {
-    let mut next_key = LOCAL_KEY_BASE;
-    for (at, key, ev) in batch {
-        local.push(Pending { at, key, item: ev });
-    }
-    let mut trace: EpochTrace = Vec::new();
-    while let Some(Pending {
-        at: t, item: ev, ..
-    }) = local.pop()
-    {
-        let Some((node, actions)) = dispatch(ctx, nodes, base, t, ev) else {
-            continue;
-        };
-        // The trace buffer the handler just filled travels with its
-        // actions so the commit can emit it in global order.
-        let events = nodes[node.index() - base]
-            .as_mut()
-            .map(BgpNode::take_trace)
-            .unwrap_or_default();
-        for action in &actions {
-            if let Some((at2, ev2)) = follow_up(node, t, action) {
-                if at2 < epoch_end {
-                    local.push(Pending {
-                        at: at2,
-                        key: next_key,
-                        item: ev2,
-                    });
-                    next_key += 1;
-                }
-            }
-        }
-        trace.push((node, actions, events));
-    }
-    trace
+    tracing: bool,
 }
 
 /// Everything one shard owns for the duration of a pump: its private
-/// future-event list, its block of routers, its Phase A scratch heap, and
-/// the slot its epoch output is parked in between the Phase A barrier and
-/// the coordinator's collection pass. Behind a [`Mutex`] only so pool
-/// jobs and the coordinator's inline path can run the same code on it;
-/// the epoch protocol guarantees every lock is uncontended (a shard is
-/// touched by exactly one thread at a time, and the barrier orders the
-/// hand-offs).
+/// future-event list, its block of routers, its Phase A scratch buffers,
+/// and the output it is building. Behind a [`Mutex`] only so pool jobs and
+/// the coordinator's inline path can run the same code on it; the epoch
+/// protocol guarantees every lock is uncontended.
 struct ShardSlot {
     fel: Fel<Ev>,
     base: usize,
     nodes: Vec<Option<BgpNode>>,
+    /// Intra-epoch follow-ups under local keys.
     local: BinaryHeap<Pending<Ev>>,
-    out: Option<ShardEpochOut>,
+    /// The epoch's drained events.
+    batch: Vec<(SimTime, EventId, Ev)>,
+    /// The handler action buffer.
+    actions: Vec<Action>,
+    out: EpochOut,
+    load: ShardLoad,
 }
 
-/// One shard's Phase A output for one epoch.
-struct ShardEpochOut {
-    /// Walk index: one `(time, id, walk entry)` row per drained event, in
-    /// the shard's drain (= local `(time, id)`) order.
-    index: Vec<(SimTime, u64, CommitEv)>,
-    /// Handler actions and trace buffers, in execution order.
-    trace: EpochTrace,
-    /// The shard FEL's head after the drain — cached so the coordinator's
-    /// per-epoch `t0` scan never has to lock an unengaged shard (mail
-    /// deliveries, the only other mutation, are tracked separately).
-    next_peek: Option<SimTime>,
-}
-
-/// The whole of Phase A for one engaged shard: file the epoch's mailbox
-/// chunks into the FEL, drain it to `epoch_end`, build the walk-index
-/// rows, run the handlers, and park the output in the slot. Runs either
-/// as a pool job or inline on the coordinator — same code, so the paths
-/// cannot diverge.
+/// The whole of Phase A for one engaged shard: file last epoch's mail into
+/// the FEL under resolved ids, drain the FEL to `epoch_end`, and run the
+/// handlers, turning their actions into mail, local follow-ups and walk
+/// records as they come. Runs either as a pool job or inline on the
+/// coordinator — same code, so the paths cannot diverge.
 fn run_shard_epoch(
-    ctx: &ShardCtx<'_>,
+    ctx: &EpochCtx<'_>,
+    shard: usize,
     slot: &mut ShardSlot,
-    mail: Vec<Vec<MailEntry>>,
+    prev: &[EpochOut],
     epoch_end: SimTime,
 ) {
-    for chunk in mail {
-        for (at, id, ev) in chunk {
-            slot.fel.insert_allocated(at, EventId::from_u64(id), ev);
-        }
-    }
-    let drained = slot.fel.drain_until(epoch_end);
-    let mut index = Vec::with_capacity(drained.len());
-    let mut batch = Vec::with_capacity(drained.len());
-    for (at, id, ev) in drained {
-        let key = id.as_u64();
-        debug_assert!(key < LOCAL_KEY_BASE);
-        index.push((
-            at,
-            key,
-            CommitEv {
-                node: owner(&ev),
-                kind: commit_kind(&ev),
-                dest: commit_dest(&ev),
-            },
-        ));
-        batch.push((at, key, ev));
-    }
+    let start = Instant::now();
     let ShardSlot {
         fel,
         base,
         nodes,
         local,
+        batch,
+        actions,
         out,
+        load,
     } = slot;
-    let trace = run_epoch_batch(ctx, *base, nodes, local, epoch_end, batch);
-    *out = Some(ShardEpochOut {
-        index,
-        trace,
-        next_peek: fel.peek_time(),
-    });
+    for src in prev {
+        let mut mail = src.mail[shard].lock().expect("mail mutex poisoned");
+        for m in mail.drain(..) {
+            let id = src.recs[m.rec as usize].id_base + u64::from(m.off);
+            fel.insert_allocated(m.at, EventId::from_u64(id), m.ev);
+        }
+    }
+    fel.drain_until_into(epoch_end, batch);
+    // Merge the drained events (already in (time, id) order) with the
+    // intra-epoch follow-ups; at equal times a drained event's real id
+    // sorts below every local key.
+    let mut drained = batch.drain(..).peekable();
+    loop {
+        let from_fel = match (drained.peek(), local.peek()) {
+            (Some(&(at, ..)), Some(l)) => at <= l.at,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => break,
+        };
+        let (t, key, ev) = if from_fel {
+            let (at, id, ev) = drained.next().expect("peeked");
+            (at, id.as_u64(), ev)
+        } else {
+            let p = local.pop().expect("peeked");
+            (p.at, p.key, p.item)
+        };
+        out.delivered += 1;
+        out.t_last = t;
+        let Some((node, active)) = dispatch(&ctx.world, nodes, *base, t, ev, actions) else {
+            continue;
+        };
+        load.handled += 1;
+        if active {
+            out.active_at = Some(t);
+        }
+        let rec = out.recs.len() as u32;
+        let mut off: u32 = 0;
+        for action in actions.drain(..) {
+            let (at, ev, dest) = if let Action::Send { to, msg } = action {
+                if msg.action.is_advertise() {
+                    out.announcements += 1;
+                } else {
+                    out.withdrawals += 1;
+                }
+                // Messages towards failed routers are lost with the link
+                // and never scheduled: no id.
+                if !ctx.world.alive[to.index()] {
+                    continue;
+                }
+                let at = t + ctx.link_delay;
+                debug_assert!(at >= epoch_end, "send inside lookahead window");
+                let ev = Ev::Deliver {
+                    to,
+                    from: node,
+                    msg,
+                };
+                (at, ev, ctx.shard_of[to.index()] as usize)
+            } else {
+                let (at, ev) = follow_up(node, t, &action);
+                if at < epoch_end {
+                    local.push(Pending {
+                        at,
+                        key: LOCAL_KEY_BASE + (u64::from(rec) << 32) + u64::from(off),
+                        item: ev,
+                    });
+                    off += 1;
+                    continue;
+                }
+                (at, ev, shard)
+            };
+            out.push_mail(dest, Mail { at, rec, off, ev });
+            off += 1;
+        }
+        let traced_before = out.trace.len();
+        if ctx.tracing {
+            if let Some(n) = nodes[node.index() - *base].as_mut() {
+                out.trace.extend(n.drain_trace());
+            }
+        }
+        if off > 0 || out.trace.len() > traced_before {
+            out.recs.push(Rec {
+                t,
+                key,
+                id_base: 0,
+                node,
+                ids: off,
+                trace_end: out.trace.len() as u32,
+            });
+        }
+    }
+    load.drained += out.delivered;
+    out.next_peek = fel.peek_time();
+    load.busy_secs += start.elapsed().as_secs_f64();
+}
+
+/// A shard's position in the walk's merge.
+#[derive(Clone, Copy, Default)]
+struct Cursor {
+    next: usize,
+    trace_from: usize,
+    /// `(time, real id)` of record `next`, if any.
+    head: Option<(SimTime, u64)>,
+}
+
+/// Phase B: merges the shards' records in global `(time, id)` order,
+/// allocating each record's id block from the central FEL and emitting its
+/// trace events.
+fn walk(outs: &mut [EpochOut], cursors: &mut [Cursor], sched: &mut Fel<Ev>, trace: &mut TraceSink) {
+    let head = |out: &EpochOut, i: usize| out.recs.get(i).map(|r| (r.t, out.resolve(r.key)));
+    for (cur, out) in cursors.iter_mut().zip(outs.iter()) {
+        *cur = Cursor {
+            head: head(out, 0),
+            ..Cursor::default()
+        };
+    }
+    let tracing = !trace.is_off();
+    loop {
+        let mut best: Option<(usize, (SimTime, u64))> = None;
+        for (s, cur) in cursors.iter().enumerate() {
+            if let Some(h) = cur.head {
+                if best.is_none_or(|(_, b)| h < b) {
+                    best = Some((s, h));
+                }
+            }
+        }
+        let Some((s, _)) = best else { break };
+        let (out, cur) = (&mut outs[s], &mut cursors[s]);
+        let rec = &mut out.recs[cur.next];
+        rec.id_base = sched.alloc_ids(u64::from(rec.ids)).as_u64();
+        if tracing {
+            let end = rec.trace_end as usize;
+            for ev in &out.trace[cur.trace_from..end] {
+                trace.record(rec.t, rec.node, ev.clone());
+            }
+            cur.trace_from = end;
+        }
+        cur.next += 1;
+        cur.head = head(out, cur.next);
+    }
 }
 
 /// Drains the event queue with `net.shards` shard-owned FELs on the
@@ -742,32 +565,17 @@ pub(crate) fn pump_sharded(net: &mut Network) {
     let debug_pump = std::env::var_os("BGPSIM_DEBUG_PUMP").is_some();
     let n = net.topo.num_routers();
     let shards = net.shards.min(n.max(1));
-    let streams = net.commit_streams.clamp(1, shards);
     let lookahead = net.cfg.link_delay;
     debug_assert!(!lookahead.is_zero(), "sharded loop needs lookahead");
 
     // World state frozen for the duration of the pump.
     let alive: Vec<bool> = net.nodes.iter().map(Option::is_some).collect();
-    let tiers: Option<Vec<usize>> = if net.cfg.policy {
-        Some(net.policy_tier_vec())
-    } else {
-        None
-    };
-    let ctx = ShardCtx {
-        topo: &net.topo,
-        policy: net.cfg.policy,
-        tiers: tiers.as_deref(),
-        alive: &alive,
-        dead_links: &net.dead_links,
-    };
 
     // Contiguous block partition of routers onto shards.
     let bounds: Vec<usize> = (0..=shards).map(|s| s * n / shards).collect();
-    let mut shard_of = vec![0usize; n];
+    let mut shard_of = vec![0u32; n];
     for s in 0..shards {
-        for node in &mut shard_of[bounds[s]..bounds[s + 1]] {
-            *node = s;
-        }
+        shard_of[bounds[s]..bounds[s + 1]].fill(s as u32);
     }
 
     // Build the shard slots — router chunks plus a private FEL each, of
@@ -777,36 +585,36 @@ pub(crate) fn pump_sharded(net: &mut Network) {
     // pump ends; only its id/delivery accounting advances (in the walk).
     let partition_start = Instant::now();
     let fel_kind = net.sched.kind();
-    let mut slots: Vec<Mutex<ShardSlot>> = Vec::with_capacity(shards);
-    {
-        let mut chunks: Vec<Vec<Option<BgpNode>>> = Vec::with_capacity(shards);
-        let mut rest = std::mem::take(&mut net.nodes);
-        for s in (0..shards).rev() {
-            chunks.push(rest.split_off(bounds[s]));
-        }
-        chunks.reverse();
-        debug_assert!(rest.is_empty());
-        for (s, nodes) in chunks.into_iter().enumerate() {
-            slots.push(Mutex::new(ShardSlot {
+    let mut chunks: Vec<Vec<Option<BgpNode>>> = Vec::with_capacity(shards);
+    let mut rest = std::mem::take(&mut net.nodes);
+    for s in (0..shards).rev() {
+        chunks.push(rest.split_off(bounds[s]));
+    }
+    chunks.reverse();
+    debug_assert!(rest.is_empty());
+    let mut slots: Vec<Mutex<ShardSlot>> = chunks
+        .into_iter()
+        .enumerate()
+        .map(|(s, nodes)| {
+            Mutex::new(ShardSlot {
                 fel: Fel::new(fel_kind),
                 base: bounds[s],
                 nodes,
                 local: BinaryHeap::new(),
-                out: None,
-            }));
-        }
-    }
-    // Events still pending across all shard FELs and mailboxes (debug
-    // visibility only — never feeds back into simulation state).
-    let mut live_pending: u64 = 0;
+                batch: Vec::new(),
+                actions: Vec::new(),
+                out: EpochOut::new(shards),
+                load: ShardLoad::default(),
+            })
+        })
+        .collect();
     for (at, id, ev) in net.sched.drain_all() {
-        let s = shard_of[owner(&ev).index()];
+        let s = shard_of[owner(&ev).index()] as usize;
         slots[s]
             .get_mut()
             .expect("slot mutex poisoned")
             .fel
             .insert_allocated(at, id, ev);
-        live_pending += 1;
     }
     // Cached FEL heads, maintained by the epoch protocol so the per-epoch
     // t0 scan is pure arithmetic: a shard's head only changes when it is
@@ -818,324 +626,155 @@ pub(crate) fn pump_sharded(net: &mut Network) {
     let mut timings = ShardPhaseTimings::default();
     timings.drain_secs += partition_start.elapsed().as_secs_f64();
 
-    // Undelivered mailbox chunks per destination shard, with the earliest
-    // contained time — the only cross-shard state between epochs.
-    let mut mailboxes: Vec<Vec<Vec<MailEntry>>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut mail_min: Vec<Option<SimTime>> = vec![None; shards];
-    // Parking slots for the parallel commit streams' outputs.
-    let commit_outs: Vec<Mutex<Option<ApplyOut>>> =
-        (0..streams).map(|_| Mutex::new(None)).collect();
+    let ctx = EpochCtx {
+        world: World {
+            topo: &net.topo,
+            tiers: &net.tiers,
+            alive: &alive,
+            dead_links: &net.dead_links,
+        },
+        shard_of: &shard_of,
+        link_delay: lookahead,
+        tracing: !net.trace.is_off(),
+    };
 
-    let link_delay = lookahead;
+    // The previous epoch's outputs: walked, then read by this epoch's
+    // mail filing. Phase A jobs share it read-only; the coordinator swaps
+    // in each epoch's fresh outputs after the barrier.
+    let prev: RwLock<Vec<EpochOut>> =
+        RwLock::new((0..shards).map(|_| EpochOut::new(shards)).collect());
+    let mut mail_min: Vec<Option<SimTime>> = vec![None; shards];
+    let mut engaged = vec![false; shards];
+    let mut cursors = vec![Cursor::default(); shards];
     let pool = crate::pool::global();
-    // Phase A size predictor: the previous epoch's drained count (see
+    // Phase A size predictor: the previous epoch's delivered count (see
     // PHASE_A_PAR_MIN_OPS). Starts at 0 so the first epoch runs inline.
     let mut predicted_ops = 0usize;
 
     // One pool scope spans every epoch of the pump (and the pool itself
     // spans every pump in the process): an epoch costs condvar wakes, not
     // thread spawns or channel hops.
-    pool.scope(|scope| {
-        // Reused across epochs; both are fully drained by each commit.
-        let mut traces: Vec<VecDeque<(Vec<Action>, Vec<NodeEvent>)>> =
-            (0..n).map(|_| VecDeque::new()).collect();
-        let mut replay: BinaryHeap<Pending<CommitEv>> = BinaryHeap::new();
-        let mut engaged = vec![false; shards];
+    pool.scope(|scope| loop {
+        // Find the epoch start t0 over the cached FEL heads and mail
+        // minima, and engage every shard with an event before epoch_end
+        // or with mail to file.
+        let scan_start = Instant::now();
+        let Some(t0) = peeks.iter().chain(&mail_min).flatten().min().copied() else {
+            break;
+        };
+        let epoch_end = t0 + lookahead;
+        for s in 0..shards {
+            engaged[s] = peeks[s].is_some_and(|p| p < epoch_end) || mail_min[s].is_some();
+        }
+        timings.drain_secs += scan_start.elapsed().as_secs_f64();
 
-        loop {
-            // The rump of the old serial drain: find the epoch start t0
-            // over the cached FEL heads and mailbox minima, and mark the
-            // shards with work before epoch_end as engaged.
-            let scan_start = Instant::now();
-            let mut t0: Option<SimTime> = None;
-            for s in 0..shards {
-                for cand in [peeks[s], mail_min[s]].into_iter().flatten() {
-                    if t0.is_none_or(|t| cand < t) {
-                        t0 = Some(cand);
-                    }
+        // Phase A — on the pool, or inline when the predictor says the
+        // epoch is too small to pay for a wake.
+        let epoch_start = Instant::now();
+        if predicted_ops < PHASE_A_PAR_MIN_OPS {
+            timings.inline_phase_a_epochs += 1;
+            let prev = prev.read().expect("epoch outputs poisoned");
+            for (s, slot) in slots.iter().enumerate() {
+                if engaged[s] {
+                    let mut slot = slot.lock().expect("slot mutex poisoned");
+                    run_shard_epoch(&ctx, s, &mut slot, &prev, epoch_end);
                 }
             }
-            let Some(t0) = t0 else { break };
-            let epoch_end = t0 + lookahead;
-            for s in 0..shards {
-                engaged[s] = peeks[s].is_some_and(|p| p < epoch_end)
-                    || mail_min[s].is_some_and(|m| m < epoch_end);
-            }
-            timings.drain_secs += scan_start.elapsed().as_secs_f64();
-
-            // Phase A: every engaged shard files its mail, drains its FEL
-            // and runs its handlers — on the pool, or inline when the
-            // predictor says the epoch is too small to pay for a wake.
-            let epoch_start = Instant::now();
-            let inline_phase_a = predicted_ops < PHASE_A_PAR_MIN_OPS;
-            if inline_phase_a {
-                timings.inline_phase_a_epochs += 1;
-                for s in 0..shards {
-                    if !engaged[s] {
-                        continue;
-                    }
-                    let mail = std::mem::take(&mut mailboxes[s]);
-                    let mut slot = slots[s].lock().expect("slot mutex poisoned");
-                    run_shard_epoch(&ctx, &mut slot, mail, epoch_end);
-                }
-            } else {
-                for (s, slot) in slots.iter().enumerate() {
-                    if !engaged[s] {
-                        continue;
-                    }
-                    let mail = std::mem::take(&mut mailboxes[s]);
-                    scope.spawn(move || {
-                        let mut slot = slot.lock().expect("slot mutex poisoned");
-                        run_shard_epoch(&ctx, &mut slot, mail, epoch_end);
-                    });
-                }
-                scope.wait();
-            }
-            // Collect in shard order: seed the walk's replay heap with
-            // the index rows (real (time, id) keys), group traces per
-            // node (a shard reports its nodes' traces in execution order,
-            // so per-node FIFO order is preserved), refresh the cached
-            // FEL heads, and retire the delivered mailboxes.
-            let mut epoch_drained = 0usize;
-            for s in 0..shards {
+        } else {
+            for (s, slot) in slots.iter().enumerate() {
                 if !engaged[s] {
                     continue;
                 }
+                let (ctx, prev) = (&ctx, &prev);
+                scope.spawn(move || {
+                    let mut slot = slot.lock().expect("slot mutex poisoned");
+                    let prev = prev.read().expect("epoch outputs poisoned");
+                    run_shard_epoch(ctx, s, &mut slot, &prev, epoch_end);
+                });
+            }
+            scope.wait();
+        }
+        timings.phase_a_secs += epoch_start.elapsed().as_secs_f64();
+
+        // Barrier step: the outputs just filed are retired for reuse, the
+        // fresh ones take their place, and the per-shard counters and
+        // mail minima are summed up.
+        let exchange_start = Instant::now();
+        let mut outs = prev.write().expect("epoch outputs poisoned");
+        for (s, out) in outs.iter_mut().enumerate() {
+            if engaged[s] {
                 let mut slot = slots[s].lock().expect("slot mutex poisoned");
-                let out = slot
-                    .out
-                    .take()
-                    .expect("engaged shard parked an epoch output");
+                std::mem::swap(&mut slot.out, out);
+                slot.out.reset();
                 peeks[s] = out.next_peek;
-                mail_min[s] = None;
-                epoch_drained += out.index.len();
-                for (at, key, item) in out.index {
-                    replay.push(Pending { at, key, item });
-                }
-                for (node, actions, events) in out.trace {
-                    traces[node.index()].push_back((actions, events));
-                }
-            }
-            debug_assert!(epoch_drained > 0, "an epoch always drains its t0 event");
-            live_pending -= epoch_drained as u64;
-            predicted_ops = epoch_drained;
-            timings.phase_a_secs += epoch_start.elapsed().as_secs_f64();
-            let walk_start = Instant::now();
-
-            // Phase B — the serial walk: replay the epoch in global
-            // (time, id) order, applying only the order-dependent side
-            // effects (clock, delivered count, real id allocation in
-            // exactly serial order, activity clock) and binning each
-            // event's recorded actions onto its destination's commit
-            // stream.
-            let delivered_base = net.sched.delivered_count();
-            let mut stream_ops: Vec<Vec<ApplyOp>> = (0..streams).map(|_| Vec::new()).collect();
-            let mut total_ops = 0usize;
-            let mut plan_idx: u32 = 0;
-            let mut popped: u64 = 0;
-            let mut t_last = t0;
-            let mut activity_at: Option<SimTime> = None;
-            while let Some(Pending {
-                at: t,
-                item: CommitEv { node, kind, dest },
-                ..
-            }) = replay.pop()
-            {
-                popped += 1;
-                t_last = t;
-                if debug_pump && (delivered_base + popped).is_multiple_of(1_000_000) {
-                    // The central FEL is empty while sharded; the pending
-                    // count is what sits in shard FELs and mailboxes.
-                    eprintln!(
-                        "[pump] events={} simtime={t} pending={live_pending}",
-                        delivered_base + popped,
-                    );
-                }
-                let handled = match kind {
-                    CommitKind::Activity | CommitKind::Timer | CommitKind::Silent => {
-                        alive[node.index()]
-                    }
-                    CommitKind::PeerUp { peer } => ctx.session_alive(node, peer),
-                };
-                if !handled {
-                    continue;
-                }
-                let (actions, events) = traces[node.index()]
-                    .pop_front()
-                    .expect("worker trace aligns with commit order");
-                let mut activity = match kind {
-                    CommitKind::Activity | CommitKind::PeerUp { .. } => true,
-                    CommitKind::Timer => !actions.is_empty(),
-                    CommitKind::Silent => false,
-                };
-                // Allocate this op's real ids in serial action order; the
-                // commit stream re-derives them from id_base by replaying
-                // the same rule.
-                let mut id_base = 0u64;
-                let mut id_seen = false;
-                for action in &actions {
-                    if let Action::Send { to, .. } = action {
-                        activity = true;
-                        // Sends to dead routers bump counters but never
-                        // reach the scheduler — no id in serial either.
-                        if alive[to.index()] {
-                            let id = net.sched.alloc_id();
-                            if !id_seen {
-                                id_base = id.as_u64();
-                                id_seen = true;
-                            }
-                        }
-                    } else {
-                        let at2 = follow_at(t, action);
-                        let id = net.sched.alloc_id();
-                        if !id_seen {
-                            id_base = id.as_u64();
-                            id_seen = true;
-                        }
-                        if at2 < epoch_end {
-                            // Already executed on the worker; keep
-                            // replaying under its real id.
-                            let (kind2, dest2) = follow_commit(node, action);
-                            replay.push(Pending {
-                                at: at2,
-                                key: id.as_u64(),
-                                item: CommitEv {
-                                    node,
-                                    kind: kind2,
-                                    dest: dest2,
-                                },
-                            });
-                        }
-                    }
-                }
-                if activity {
-                    activity_at = Some(t);
-                }
-                if !actions.is_empty() || !events.is_empty() {
-                    stream_ops[stream_of(dest, streams)].push(ApplyOp {
-                        plan_idx,
-                        t,
-                        node,
-                        id_base,
-                        actions,
-                        events,
-                    });
-                    total_ops += 1;
-                }
-                plan_idx += 1;
-            }
-            net.sched.mark_delivered_many(t_last, popped);
-            if let Some(t) = activity_at {
-                net.last_activity = t;
-            }
-            timings.phase_b_secs += walk_start.elapsed().as_secs_f64();
-            let merge_start = Instant::now();
-
-            // Apply the commit streams — on the worker pool when the
-            // epoch is large enough to pay for the wake, inline
-            // otherwise. Outputs are identical either way.
-            let parallel = streams > 1 && total_ops >= COMMIT_PAR_MIN_OPS;
-            let outs: Vec<ApplyOut> = if parallel {
-                timings.parallel_commit_epochs += 1;
-                for (k, ops) in stream_ops.into_iter().enumerate() {
-                    if ops.is_empty() {
-                        continue;
-                    }
-                    let out_slot = &commit_outs[k];
-                    let alive = &alive;
-                    let shard_of = &shard_of;
-                    scope.spawn(move || {
-                        let out = apply_ops(alive, shard_of, shards, link_delay, epoch_end, ops);
-                        *out_slot.lock().expect("commit slot mutex poisoned") = Some(out);
-                    });
-                }
-                scope.wait();
-                commit_outs
-                    .iter()
-                    .map(|slot| {
-                        slot.lock()
-                            .expect("commit slot mutex poisoned")
-                            .take()
-                            .unwrap_or_else(|| ApplyOut::empty(shards))
-                    })
-                    .collect()
             } else {
-                stream_ops
-                    .into_iter()
-                    .map(|ops| apply_ops(&alive, &shard_of, shards, link_delay, epoch_end, ops))
-                    .collect()
-            };
+                out.reset();
+            }
+        }
+        let (mut delivered, mut t_last, mut active_at) = (0u64, t0, None);
+        mail_min.fill(None);
+        for out in outs.iter() {
+            delivered += out.delivered;
+            t_last = t_last.max(out.t_last);
+            active_at = active_at.max(out.active_at);
+            net.announcements += out.announcements;
+            net.withdrawals += out.withdrawals;
+            for (min, &m) in mail_min.iter_mut().zip(&out.mail_min) {
+                *min = match (*min, m) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+            }
+        }
+        debug_assert!(delivered > 0, "an epoch always delivers its t0 event");
+        predicted_ops = delivered as usize;
+        timings.mailbox_exchange_secs += exchange_start.elapsed().as_secs_f64();
 
-            // Deterministic merge. Counters are order-independent sums;
-            // trace events go out in plan (= commit) order.
-            let mut trace_iters = Vec::with_capacity(outs.len());
-            let mut mails = Vec::with_capacity(outs.len());
-            for out in outs {
-                net.announcements += out.announcements;
-                net.withdrawals += out.withdrawals;
-                trace_iters.push(out.traced.into_iter().peekable());
-                mails.push((out.mail, out.mail_min));
-            }
-            if !net.trace.is_off() {
-                loop {
-                    let mut best: Option<(u32, usize)> = None;
-                    for (s, it) in trace_iters.iter_mut().enumerate() {
-                        if let Some(&(idx, ..)) = it.peek() {
-                            if best.is_none_or(|(b, _)| idx < b) {
-                                best = Some((idx, s));
-                            }
-                        }
-                    }
-                    let Some((_, s)) = best else { break };
-                    let (_, t, node, events) = trace_iters[s].next().expect("peeked entry exists");
-                    for ev in events {
-                        net.trace.record(t, node, ev);
-                    }
-                }
-            }
-            timings.merge_secs += merge_start.elapsed().as_secs_f64();
-
-            // Mailbox exchange: route each stream's per-destination-shard
-            // chunks into the destination mailboxes, stream-major. The
-            // (stream, then id-ascending-within-chunk) order is fixed, so
-            // the events a shard files next epoch arrive in a
-            // deterministic sequence — and the walk's replay heap orders
-            // them globally by (time, id) regardless. This replaces PR
-            // 6's serial k-way `insert_allocated` merge into the central
-            // FEL.
-            let exchange_start = Instant::now();
-            for (mail, mins) in mails {
-                for (s, chunk) in mail.into_iter().enumerate() {
-                    if chunk.is_empty() {
-                        continue;
-                    }
-                    let m = mins[s].expect("non-empty mail chunk has a min time");
-                    if mail_min[s].is_none_or(|cur| m < cur) {
-                        mail_min[s] = Some(m);
-                    }
-                    live_pending += chunk.len() as u64;
-                    mailboxes[s].push(chunk);
-                }
-            }
-            timings.mailbox_exchange_secs += exchange_start.elapsed().as_secs_f64();
-            timings.epochs += 1;
-            debug_assert!(
-                traces.iter().all(VecDeque::is_empty),
-                "every recorded trace was consumed"
+        // Phase B — the serial walk.
+        let walk_start = Instant::now();
+        let delivered_before = net.sched.delivered_count();
+        walk(&mut outs, &mut cursors, &mut net.sched, &mut net.trace);
+        net.sched.mark_delivered_many(t_last, delivered);
+        if let Some(t) = active_at {
+            net.last_activity = t;
+        }
+        timings.phase_b_secs += walk_start.elapsed().as_secs_f64();
+        timings.epochs += 1;
+        if debug_pump && delivered_before / 1_000_000 != net.sched.delivered_count() / 1_000_000 {
+            // The central FEL is empty while sharded; the pending count is
+            // what sits in the shard FELs and the mail.
+            let queued: usize = slots
+                .iter()
+                .map(|slot| slot.lock().expect("slot mutex poisoned").fel.len())
+                .sum();
+            let mailed: usize = outs
+                .iter()
+                .flat_map(|out| &out.mail)
+                .map(|m| m.lock().expect("mail mutex poisoned").len())
+                .sum();
+            eprintln!(
+                "[pump] events={} simtime={t_last} pending={}",
+                net.sched.delivered_count(),
+                queued + mailed
             );
         }
     });
 
     // Quiescent: every shard FEL and mailbox drained; reassemble the
     // node vec from the slots.
-    debug_assert_eq!(live_pending, 0, "pump ends with no pending events");
+    if net.shard_load.len() < shards {
+        net.shard_load.resize(shards, ShardLoad::default());
+    }
     let mut nodes: Vec<Option<BgpNode>> = Vec::with_capacity(n);
-    for slot in slots {
+    for (slot, load) in slots.into_iter().zip(&mut net.shard_load) {
         let slot = slot.into_inner().expect("slot mutex poisoned");
         debug_assert!(
             slot.fel.is_empty() && slot.local.is_empty(),
             "shard FEL drained at quiescence"
         );
+        load.drained += slot.load.drained;
+        load.handled += slot.load.handled;
+        load.busy_secs += slot.load.busy_secs;
         nodes.extend(slot.nodes);
     }
     net.nodes = nodes;
@@ -1147,6 +786,7 @@ mod tests {
     use super::*;
     use crate::network::{Network, SimConfig};
     use crate::scheme::Scheme;
+    use crate::trace::{to_jsonl, TraceSink};
     use bgpsim_topology::degree::SkewedSpec;
     use bgpsim_topology::generators::skewed_topology;
     use bgpsim_topology::region::FailureSpec;
@@ -1159,14 +799,11 @@ mod tests {
         skewed_topology(n, &SkewedSpec::seventy_thirty(), &mut rng).unwrap()
     }
 
-    /// Full failure experiment under a given shard count, with the
-    /// parallel commit forced on (one stream per shard) so every sharded
-    /// test exercises the destination-partitioned path even on one core.
+    /// Full failure experiment under a given shard count.
     fn run_with_shards(shards: usize) -> (crate::RunStats, Network) {
         let topo = small_topo(42, 30);
         let mut cfg = SimConfig::from_scheme(&Scheme::constant_mrai(0.5), 777);
         cfg.shards = Some(shards);
-        cfg.commit_streams = Some(shards);
         let mut net = Network::new(topo, cfg);
         let stats = net.run_failure_experiment(&FailureSpec::CenterFraction(0.10));
         (stats, net)
@@ -1196,6 +833,20 @@ mod tests {
         }
     }
 
+    /// A chain `0 – 1 – … – (n-1)` of one-router ASes.
+    fn chain(n: u32) -> Topology {
+        let routers = (0..n)
+            .map(|i| Router {
+                as_id: AsId::new(i),
+                pos: Point::new(f64::from(i), 0.0),
+            })
+            .collect();
+        let edges: Vec<_> = (1..n)
+            .map(|i| (RouterId::new(i - 1), RouterId::new(i)))
+            .collect();
+        Topology::new(routers, edges).unwrap()
+    }
+
     #[test]
     fn sharded_matches_serial_across_shard_counts() {
         let (serial_stats, serial_net) = run_with_shards(1);
@@ -1203,53 +854,6 @@ mod tests {
             let (stats, net) = run_with_shards(shards);
             assert_eq!(stats, serial_stats, "RunStats diverged at {shards} shards");
             assert_networks_identical(&net, &serial_net, &format!("{shards} shards"));
-        }
-    }
-
-    #[test]
-    fn parallel_commit_path_runs_and_matches_inline() {
-        // Same workload, same shard count, different stream counts — the
-        // commit-stream knob must be invisible in every observable, and
-        // the multi-stream run must actually take the worker-pool path.
-        let run = |streams: usize| {
-            let topo = small_topo(42, 30);
-            let mut cfg = SimConfig::from_scheme(&Scheme::constant_mrai(0.5), 777);
-            cfg.shards = Some(4);
-            cfg.commit_streams = Some(streams);
-            let mut net = Network::new(topo, cfg);
-            let stats = net.run_failure_experiment(&FailureSpec::CenterFraction(0.10));
-            (stats, net)
-        };
-        let (inline_stats, inline_net) = run(1);
-        assert_eq!(
-            inline_net.shard_phase_timings().parallel_commit_epochs,
-            0,
-            "one stream must apply inline"
-        );
-        for streams in [2, 4] {
-            let (stats, net) = run(streams);
-            assert_eq!(
-                stats, inline_stats,
-                "RunStats diverged at {streams} streams"
-            );
-            assert_networks_identical(&net, &inline_net, &format!("{streams} streams"));
-            let t = net.shard_phase_timings();
-            assert!(
-                t.parallel_commit_epochs > 0,
-                "{streams} streams: no epoch took the parallel commit path"
-            );
-            assert!(t.epochs >= t.parallel_commit_epochs);
-            assert!(t.total_secs() > 0.0, "phase timings were accumulated");
-            // The serial remainder phases are measured, not just the big
-            // parallel ones: partition/t0 scan and the mailbox exchange
-            // both ran on every epoch of a multi-epoch convergence.
-            assert!(t.drain_secs > 0.0, "drain/partition phase was timed");
-            assert!(
-                t.mailbox_exchange_secs > 0.0,
-                "mailbox exchange phase was timed"
-            );
-            let f = t.serial_fraction();
-            assert!((0.0..1.0).contains(&f), "serial fraction {f} out of range");
         }
     }
 
@@ -1282,7 +886,6 @@ mod tests {
             let mut cfg = SimConfig::new(99);
             cfg.origination_window = SimDuration::ZERO;
             cfg.shards = Some(shards);
-            cfg.commit_streams = Some(shards);
             Network::new(topo, cfg)
         };
         let mut serial = build(1);
@@ -1296,13 +899,12 @@ mod tests {
 
     #[test]
     fn link_failure_and_revival_match_serial() {
-        // Covers the PeerDown/PeerUp commit arms: fail a link, quiesce,
-        // then revive a router region.
+        // Covers the PeerDown/PeerUp arms: fail a link, quiesce, fail a
+        // router region, then revive it.
         let run = |shards: usize| {
             let topo = small_topo(7, 24);
             let mut cfg = SimConfig::from_scheme(&Scheme::constant_mrai(0.5), 31);
             cfg.shards = Some(shards);
-            cfg.commit_streams = Some(shards);
             let mut net = Network::new(topo, cfg);
             net.run_initial_convergence();
             let edges: Vec<_> = net.topology().edges()[..3].to_vec();
@@ -1323,36 +925,164 @@ mod tests {
     }
 
     #[test]
+    fn policy_link_failure_and_revival_match_serial() {
+        // Policy runs hand every PeerUp a relationship from the network's
+        // stored AS tiers, in both loops. A link failure and then a router
+        // revival drive PeerDown and PeerUp through each.
+        let run = |shards: usize| {
+            let topo = small_topo(11, 24);
+            let mut cfg = SimConfig::from_scheme(&Scheme::constant_mrai(0.5), 5);
+            cfg.policy = true;
+            cfg.shards = Some(shards);
+            let mut net = Network::new(topo, cfg);
+            net.run_initial_convergence();
+            net.set_trace_sink(TraceSink::memory(1 << 22));
+            let edges: Vec<_> = net.topology().edges()[..2].to_vec();
+            net.inject_link_failure(&edges);
+            let s1 = net.run_to_quiescence();
+            let failed = net.inject_failure(&FailureSpec::CenterFraction(0.10));
+            let s2 = net.run_to_quiescence();
+            net.revive_routers(&failed);
+            let s3 = net.run_to_quiescence();
+            let jsonl = to_jsonl(&net.take_trace_events());
+            ([s1, s2, s3], jsonl, net)
+        };
+        let (serial_stats, serial_jsonl, serial) = run(1);
+        assert!(!serial_jsonl.is_empty(), "the run must record events");
+        for shards in [2, 3] {
+            let (stats, jsonl, net) = run(shards);
+            assert_eq!(stats, serial_stats, "RunStats diverged at {shards} shards");
+            assert_eq!(
+                jsonl, serial_jsonl,
+                "trace bytes diverged at {shards} shards"
+            );
+            assert_networks_identical(&net, &serial, &format!("{shards} shards"));
+        }
+    }
+
+    #[test]
+    fn mail_to_idle_shards_gets_serial_ids() {
+        // A chain paced by a long MRAI: the far end hears one update per
+        // MRAI round and sits idle — no event of its own — for the dozens
+        // of 25 ms epochs in between, as do the timers its own shard mails
+        // to itself. At 37 shards every router is alone in its shard. The
+        // filed mail must carry exactly the serial ids.
+        let run = |shards: usize| {
+            let mut cfg = SimConfig::from_scheme(&Scheme::constant_mrai(2.0), 3);
+            cfg.shards = Some(shards);
+            let mut net = Network::new(chain(6), cfg);
+            net.set_trace_sink(TraceSink::memory(1 << 20));
+            net.run_initial_convergence();
+            let edges = [net.topology().edges()[0]];
+            net.inject_link_failure(&edges);
+            let stats = net.run_to_quiescence();
+            let jsonl = to_jsonl(&net.take_trace_events());
+            (stats, jsonl, net)
+        };
+        let (serial_stats, serial_jsonl, serial) = run(1);
+        for shards in [2, 3, 37] {
+            let (stats, jsonl, net) = run(shards);
+            assert_eq!(stats, serial_stats, "RunStats diverged at {shards} shards");
+            assert_eq!(
+                jsonl, serial_jsonl,
+                "trace bytes diverged at {shards} shards"
+            );
+            assert_networks_identical(&net, &serial, &format!("{shards} shards"));
+            if shards == 37 {
+                // Alone in its shard, the far end handles an event in
+                // fewer than half of the epochs, yet receives mail
+                // throughout.
+                let far_end = *net.shard_load().last().expect("sharded run");
+                assert!(far_end.handled > 0);
+                assert!(
+                    far_end.drained * 2 < net.shard_phase_timings().epochs,
+                    "the far end's shard was busy in most epochs: {far_end:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn traces_byte_identical_across_shard_counts() {
         // The tentpole claim of the trace layer: the JSONL byte stream is
-        // a pure function of the simulation, independent of both the
-        // shard count and the commit-stream count.
-        let run = |shards: usize, streams: usize| {
+        // a pure function of the simulation, independent of the shard
+        // count.
+        let run = |shards: usize| {
             let topo = small_topo(42, 30);
             let mut cfg = SimConfig::from_scheme(&Scheme::constant_mrai(0.5), 777);
             cfg.shards = Some(shards);
-            cfg.commit_streams = Some(streams);
             let mut net = Network::new(topo, cfg);
             net.run_initial_convergence();
             net.inject_failure(&FailureSpec::CenterFraction(0.10));
-            net.set_trace_sink(crate::trace::TraceSink::memory(1 << 22));
+            net.set_trace_sink(TraceSink::memory(1 << 22));
             let stats = net.run_to_quiescence();
             let events = net.take_trace_events();
             assert!(!events.is_empty(), "re-convergence must record events");
-            (stats, crate::trace::to_jsonl(&events))
+            (stats, to_jsonl(&events))
         };
-        let (serial_stats, serial_jsonl) = run(1, 1);
-        for (shards, streams) in [(2, 1), (2, 2), (3, 3), (4, 2)] {
-            let (stats, jsonl) = run(shards, streams);
-            assert_eq!(
-                stats, serial_stats,
-                "RunStats diverged at {shards} shards / {streams} streams"
-            );
+        let (serial_stats, serial_jsonl) = run(1);
+        for shards in [2, 3, 4] {
+            let (stats, jsonl) = run(shards);
+            assert_eq!(stats, serial_stats, "RunStats diverged at {shards} shards");
             assert_eq!(
                 jsonl, serial_jsonl,
-                "trace bytes diverged at {shards} shards / {streams} streams"
+                "trace bytes diverged at {shards} shards"
             );
         }
+    }
+
+    #[test]
+    fn commit_streams_setting_is_inert() {
+        let run = |streams: Option<usize>| {
+            let topo = small_topo(42, 30);
+            let mut cfg = SimConfig::from_scheme(&Scheme::constant_mrai(0.5), 777);
+            cfg.shards = Some(3);
+            cfg.commit_streams = streams;
+            let mut net = Network::new(topo, cfg);
+            assert_eq!(net.commit_stream_count(), net.shard_count());
+            assert_eq!(
+                net.shard_phase_timings().epochs,
+                0,
+                "no pump has run yet, timings start empty"
+            );
+            net.run_initial_convergence();
+            net.inject_failure(&FailureSpec::CenterFraction(0.10));
+            net.set_trace_sink(TraceSink::memory(1 << 22));
+            let stats = net.run_to_quiescence();
+            (stats, to_jsonl(&net.take_trace_events()), net)
+        };
+        let (base_stats, base_jsonl, base) = run(None);
+        for streams in [Some(1), Some(2), Some(7)] {
+            let (stats, jsonl, net) = run(streams);
+            assert_eq!(stats, base_stats, "RunStats moved with {streams:?} streams");
+            assert_eq!(jsonl, base_jsonl, "trace moved with {streams:?} streams");
+            assert_networks_identical(&net, &base, &format!("{streams:?} streams"));
+        }
+    }
+
+    #[test]
+    fn shard_load_accounts_for_every_delivered_event() {
+        let (_, net) = run_with_shards(3);
+        let load = net.shard_load();
+        assert_eq!(load.len(), 3);
+        let drained: u64 = load.iter().map(|l| l.drained).sum();
+        assert_eq!(
+            drained,
+            net.sched.delivered_count(),
+            "per-shard drained counts must sum to the delivered count"
+        );
+        for l in load {
+            assert!(l.handled <= l.drained && l.handled > 0);
+            assert!(l.busy_secs > 0.0);
+        }
+        let t = net.shard_phase_timings();
+        assert_eq!(t.parallel_commit_epochs, 0);
+        assert_eq!(t.merge_secs, 0.0);
+        assert!(t.drain_secs > 0.0 && t.mailbox_exchange_secs > 0.0);
+        let f = t.serial_fraction();
+        assert!((0.0..1.0).contains(&f), "serial fraction {f} out of range");
+        let (_, serial) = run_with_shards(1);
+        assert!(serial.shard_load().is_empty(), "serial runs record no load");
     }
 
     #[test]
@@ -1380,73 +1110,5 @@ mod tests {
         let mut cfg = SimConfig::new(1);
         cfg.shards = Some(4);
         assert_eq!(Network::new(topo, cfg).shard_count(), 4);
-    }
-
-    #[test]
-    fn commit_dest_is_prefix_major() {
-        use bgpsim_bgp::msg::Prefix;
-        let r = RouterId::new(3);
-        let p = Prefix::new(9);
-        assert_eq!(
-            commit_dest(&Ev::Originate { node: r, prefix: p }),
-            9,
-            "originations key by prefix"
-        );
-        assert_eq!(commit_dest(&Ev::ProcDone { node: r }), 3, "no prefix: node");
-        assert_eq!(
-            commit_dest(&Ev::MraiExpiry {
-                node: r,
-                peer: RouterId::new(1),
-                prefix: Some(p),
-                gen: 0
-            }),
-            9
-        );
-        assert_eq!(
-            commit_dest(&Ev::MraiExpiry {
-                node: r,
-                peer: RouterId::new(1),
-                prefix: None,
-                gen: 0
-            }),
-            3,
-            "per-peer MRAI keys by node"
-        );
-    }
-
-    #[test]
-    fn stream_binning_balances_strided_dests() {
-        // Full-table bursts withdraw prefixes at a fixed stride (the per-AS
-        // block size). `dest % streams` aliases whenever the stride shares a
-        // factor with the stream count — e.g. stride 8 into 4 streams puts
-        // *every* op in one stream. The mix must keep occupancy roughly
-        // uniform for strides and stream counts with common factors.
-        for &(stride, streams) in &[(8u32, 4usize), (6, 3), (10, 5), (4, 8), (37, 37)] {
-            let n = 4096u32;
-            let mut occ = vec![0usize; streams];
-            for i in 0..n {
-                occ[stream_of(i * stride, streams)] += 1;
-            }
-            let ideal = n as usize / streams;
-            let max = *occ.iter().max().unwrap();
-            let min = *occ.iter().min().unwrap();
-            assert!(
-                max <= ideal * 2 && min >= ideal / 2,
-                "stride {stride} into {streams} streams skewed: {occ:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn stream_binning_is_total_and_stable() {
-        // Every dest maps into range, and the mapping is a pure function
-        // (determinism depends on it being input-only).
-        for streams in 1..=7usize {
-            for dest in (0..200u32).chain([u32::MAX - 3, u32::MAX]) {
-                let s = stream_of(dest, streams);
-                assert!(s < streams);
-                assert_eq!(s, stream_of(dest, streams));
-            }
-        }
     }
 }

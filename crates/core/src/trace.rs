@@ -15,15 +15,12 @@
 //! stamps each handler's events at delivery, and the sharded loop's
 //! Phase B walk replays the epoch in the same global `(time, id)` order
 //! (see the `shard` module) — shard-owned FELs move *where* events wait,
-//! never the walk order that emission follows. With the parallel commit
-//! the per-event trace batches travel through the
-//! destination-partitioned commit streams tagged with their walk
-//! position, and the deterministic merge emits them back in exactly
-//! that order — so a trace taken at `BGPSIM_SHARDS=N` is
-//! **byte-identical** to the serial one for any shard *and*
-//! commit-stream count. Recording never touches node RNGs
-//! or timers, so a traced run also produces bit-identical
-//! [`RunStats`](crate::RunStats) to an untraced one.
+//! never the walk order that emission follows. Each shard buffers its
+//! handlers' events per walk record, and the walk emits them as it visits
+//! the records — so a trace taken at `BGPSIM_SHARDS=N` is
+//! **byte-identical** to the serial one for any shard count. Recording
+//! never touches node RNGs or timers, so a traced run also produces
+//! bit-identical [`RunStats`](crate::RunStats) to an untraced one.
 //!
 //! ## Sinks
 //!
@@ -104,8 +101,8 @@ impl MemoryTrace {
 /// A streaming JSONL writer shared behind a lock.
 ///
 /// The lock exists because [`Network`](crate::network::Network) is
-/// `Clone`; the stream itself is only ever written by the serial commit
-/// path, so there is no contention.
+/// `Clone`; the stream itself is only ever written by one thread (the
+/// serial loop, or the sharded loop's walk), so there is no contention.
 pub struct JsonlTrace {
     writer: Arc<Mutex<Box<dyn Write + Send>>>,
     seq: u64,

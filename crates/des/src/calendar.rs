@@ -222,10 +222,16 @@ impl<E> CalendarQueue<E> {
     /// Allocates the next [`EventId`] without enqueueing anything, counting
     /// it as scheduled — see [`Scheduler::alloc_id`](crate::Scheduler::alloc_id).
     pub fn alloc_id(&mut self) -> EventId {
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        self.scheduled += 1;
-        id
+        self.alloc_ids(1)
+    }
+
+    /// Allocates `n` consecutive ids at once — see
+    /// [`Scheduler::alloc_ids`](crate::Scheduler::alloc_ids).
+    pub fn alloc_ids(&mut self, n: u64) -> EventId {
+        let first = EventId(self.next_id);
+        self.next_id += n;
+        self.scheduled += n;
+        first
     }
 
     /// Advances the clock to `at` and counts one delivery, without popping —
@@ -261,6 +267,13 @@ impl<E> CalendarQueue<E> {
     /// see [`Scheduler::drain_until`](crate::Scheduler::drain_until).
     pub fn drain_until(&mut self, bound: SimTime) -> Vec<(SimTime, EventId, E)> {
         let mut out = Vec::new();
+        self.drain_until_into(bound, &mut out);
+        out
+    }
+
+    /// [`drain_until`](CalendarQueue::drain_until), appending to a reused
+    /// buffer.
+    pub fn drain_until_into(&mut self, bound: SimTime, out: &mut Vec<(SimTime, EventId, E)>) {
         while let Some((at, b, i)) = self.min_entry() {
             if at >= bound {
                 break;
@@ -274,7 +287,6 @@ impl<E> CalendarQueue<E> {
             self.cursor_start = (at.as_nanos() / self.bucket_width) * self.bucket_width;
             out.push((at, entry.id, entry.payload.expect("min entry is live")));
         }
-        out
     }
 
     /// Removes and returns every live event in **arbitrary order**, without

@@ -20,8 +20,8 @@ impl EventId {
     /// Rebuilds an id from its raw sequence number.
     ///
     /// The inverse of [`as_u64`](EventId::as_u64), for callers that ship id
-    /// numbers across threads (the sharded commit's parallel apply streams)
-    /// and hand them back via
+    /// numbers across threads (the sharded loop's mail, filed under
+    /// `id_base + offset`) and hand them back via
     /// [`insert_allocated`](crate::Scheduler::insert_allocated). The number
     /// must come from a previous [`alloc_id`](crate::Scheduler::alloc_id) /
     /// `schedule` on the same list; fabricated ids break the determinism

@@ -20,7 +20,7 @@ use crate::time::{SimDuration, SimTime};
 /// [`alloc_id`](FutureEventList::alloc_id),
 /// [`mark_delivered`](FutureEventList::mark_delivered)) decompose
 /// `next()` into its queue and accounting halves for the sharded event
-/// loop's epoch commit.
+/// loop's epochs.
 pub trait FutureEventList<E> {
     /// Schedules `payload` at absolute time `at`.
     fn schedule(&mut self, at: SimTime, payload: E) -> EventId;
@@ -325,10 +325,21 @@ impl<E> Fel<E> {
         delegate!(self, inner => inner.drain_until(bound))
     }
 
+    /// [`drain_until`](Fel::drain_until), appending to a reused buffer.
+    pub fn drain_until_into(&mut self, bound: SimTime, out: &mut Vec<(SimTime, EventId, E)>) {
+        delegate!(self, inner => inner.drain_until_into(bound, out))
+    }
+
     /// Allocates the next [`EventId`] without enqueueing, counted as
     /// scheduled.
     pub fn alloc_id(&mut self) -> EventId {
         delegate!(self, inner => inner.alloc_id())
+    }
+
+    /// Allocates `n` consecutive ids, all counted as scheduled, and
+    /// returns the first.
+    pub fn alloc_ids(&mut self, n: u64) -> EventId {
+        delegate!(self, inner => inner.alloc_ids(n))
     }
 
     /// Advances the clock to `at` and counts one delivery, without popping.

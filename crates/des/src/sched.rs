@@ -144,25 +144,31 @@ impl<E> Scheduler<E> {
     /// it as scheduled.
     ///
     /// This is the id-assignment half of [`schedule`], split out for the
-    /// sharded event loop: during an epoch's commit phase, intra-epoch
-    /// events were already executed on a shard worker, but they must still
-    /// consume ids in serial order so that every later id — and therefore
-    /// every same-instant tie-break — is byte-identical to a serial run.
+    /// sharded event loop: the shards have already run an epoch's events,
+    /// but the events they scheduled must still consume ids in serial
+    /// order so that every later id — and therefore every same-instant
+    /// tie-break — is byte-identical to a serial run.
     ///
     /// [`schedule`]: Scheduler::schedule
     pub fn alloc_id(&mut self) -> EventId {
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        self.scheduled += 1;
-        id
+        self.alloc_ids(1)
+    }
+
+    /// Allocates `n` consecutive ids at once, all counted as scheduled,
+    /// and returns the first (the next id, unconsumed, when `n == 0`).
+    pub fn alloc_ids(&mut self, n: u64) -> EventId {
+        let first = EventId(self.next_id);
+        self.next_id += n;
+        self.scheduled += n;
+        first
     }
 
     /// Advances the clock to `at` and counts one delivery, without popping.
     ///
     /// The delivery-accounting half of [`next`], split out for the sharded
-    /// event loop: the commit phase replays events that were drained (or
-    /// created) during the epoch and must leave `now`/`delivered` exactly
-    /// as a serial run would.
+    /// event loop: the shards deliver an epoch's events from their own
+    /// lists, and the central scheduler must still end with
+    /// `now`/`delivered` exactly as a serial run would.
     ///
     /// # Panics
     ///
@@ -178,9 +184,9 @@ impl<E> Scheduler<E> {
     /// Advances the clock to `at` and counts `n` deliveries at once.
     ///
     /// Equivalent to `n` [`mark_delivered`](Scheduler::mark_delivered)
-    /// calls ending at `at`: the sharded commit walks a whole epoch in
-    /// order and settles the delivery accounting in one step, with `at`
-    /// the timestamp of the epoch's last event. A no-op when `n == 0`.
+    /// calls ending at `at`: the sharded loop settles a whole epoch's
+    /// delivery accounting in one step, with `at` the timestamp of the
+    /// epoch's last event. A no-op when `n == 0`.
     ///
     /// # Panics
     ///
@@ -199,9 +205,9 @@ impl<E> Scheduler<E> {
     /// again.
     ///
     /// The enqueue half of [`schedule`](Scheduler::schedule), for the
-    /// sharded engine: ids are allocated in serial order during the epoch
-    /// walk, the payloads are built on parallel apply streams, and each
-    /// destination shard's FEL receives them here. Delivery order is
+    /// sharded engine: the shards build the payloads during an epoch, the
+    /// walk allocates their ids in serial order, and each destination
+    /// shard's FEL receives them here. Delivery order is
     /// unaffected by insertion order — entries are totally ordered by
     /// `(time, id)` — and the id may come from a *different* scheduler's
     /// counter (the shard-owned FELs never allocate ids themselves; the
@@ -230,6 +236,13 @@ impl<E> Scheduler<E> {
     /// that land precisely on an epoch boundary.
     pub fn drain_until(&mut self, bound: SimTime) -> Vec<(SimTime, EventId, E)> {
         let mut out = Vec::new();
+        self.drain_until_into(bound, &mut out);
+        out
+    }
+
+    /// [`drain_until`](Scheduler::drain_until), appending to a reused
+    /// buffer.
+    pub fn drain_until_into(&mut self, bound: SimTime, out: &mut Vec<(SimTime, EventId, E)>) {
         while let Some(head) = self.heap.peek() {
             if head.at >= bound {
                 break;
@@ -240,7 +253,6 @@ impl<E> Scheduler<E> {
             }
             out.push((entry.at, entry.id, entry.payload));
         }
-        out
     }
 
     /// Removes and returns every live event in **arbitrary order**, without
@@ -733,6 +745,34 @@ mod tests {
         assert_eq!(split.now(), serial.now());
         assert_eq!(split.delivered_count(), serial.delivered_count());
         assert_eq!(split.scheduled_count(), serial.scheduled_count());
+    }
+
+    #[test]
+    fn alloc_ids_is_a_block_of_alloc_id_calls() {
+        let mut one: Scheduler<u32> = Scheduler::new();
+        let mut block: Scheduler<u32> = Scheduler::new();
+        let ids: Vec<EventId> = (0..3).map(|_| one.alloc_id()).collect();
+        assert_eq!(
+            block.alloc_ids(0),
+            EventId(0),
+            "an empty block consumes nothing"
+        );
+        assert_eq!(block.alloc_ids(3), ids[0]);
+        assert_eq!(block.scheduled_count(), one.scheduled_count());
+        assert_eq!(block.alloc_id(), one.alloc_id());
+    }
+
+    #[test]
+    fn drain_until_into_appends_in_delivery_order() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        s.schedule(SimTime::from_millis(2), 1);
+        s.schedule(SimTime::from_millis(1), 0);
+        s.schedule(SimTime::from_millis(3), 2);
+        let mut out = vec![(SimTime::ZERO, EventId(99), 9)];
+        s.drain_until_into(SimTime::from_millis(3), &mut out);
+        let payloads: Vec<u32> = out.iter().map(|&(_, _, p)| p).collect();
+        assert_eq!(payloads, vec![9, 0, 1], "appends after existing entries");
+        assert_eq!(s.len(), 1);
     }
 
     #[test]

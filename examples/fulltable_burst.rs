@@ -20,11 +20,11 @@
 //! * `BGPSIM_TRACE_OUT` — override path for the raw trace JSONL
 //!   (default `<out>/trace.jsonl`).
 //!
-//! Combined with `BGPSIM_SHARDS` / `BGPSIM_COMMIT_STREAMS`, this is the
-//! full-table determinism check: every output file is byte-identical for
-//! any shard or commit-stream count. The trace streams to disk while the
-//! storm runs (a 10^5-prefix burst emits far more events than a memory
-//! ring should hold) and is re-read afterwards for the timeline pass.
+//! Combined with `BGPSIM_SHARDS`, this is the full-table determinism
+//! check: every output file is byte-identical for any shard count. The
+//! trace streams to disk while the storm runs (a 10^5-prefix burst emits
+//! far more events than a memory ring should hold) and is re-read
+//! afterwards for the timeline pass.
 
 use std::path::PathBuf;
 

@@ -1,9 +1,9 @@
 //! Byte-identity of the sharded engine on full-table burst workloads.
 //!
-//! The full-table workload changes the two dimensions the sharded
-//! engine's destination partitioning cares about: the prefix space is
-//! orders of magnitude larger than the router space (commit streams bin
-//! by prefix slot), and a burst withdrawal floods thousands of
+//! The full-table workload stresses the sharded engine in two ways: the
+//! prefix space is orders of magnitude larger than the router space (one
+//! handled event can mail thousands of updates), and a burst withdrawal
+//! floods thousands of
 //! `WithdrawOrigin` events into one instant — the event-storm shape the
 //! paper studies. The contract is unchanged: for any shard count the run
 //! must match serial field-for-field in `RunStats`, state-for-state in
@@ -39,7 +39,6 @@ fn run_burst(
         .with_full_table(FullTableSpec::internet_like(table));
     let mut cfg = SimConfig::from_scheme(&scheme, seed);
     cfg.shards = Some(shards);
-    cfg.commit_streams = Some(shards);
     let mut net = Network::new(topo(seed, nodes), cfg);
     net.set_trace_sink(bgpsim::TraceSink::memory(1 << 22));
     net.run_initial_convergence();

@@ -56,9 +56,6 @@ fn run(
 ) -> (RunStats, Network, String) {
     let mut cfg = SimConfig::from_scheme(scheme, seed);
     cfg.shards = Some(shards);
-    // One commit stream per shard: every sharded run here also exercises
-    // the destination-partitioned parallel commit, not just Phase A.
-    cfg.commit_streams = Some(shards);
     let mut net = Network::new(topo(seed, nodes), cfg);
     net.set_trace_sink(bgpsim::TraceSink::memory(1 << 20));
     let stats = net.run_failure_experiment(&FailureSpec::CenterFraction(fraction));
@@ -133,10 +130,9 @@ proptest! {
 
 #[test]
 fn shard_count_exceeding_node_count_matches_serial() {
-    // Degenerate partition: far more shards (and commit streams) than
-    // routers. The engine clamps to one router per shard; most workers
-    // idle every epoch and most commit streams stay empty, but every
-    // observable must still match serial exactly.
+    // Degenerate partition: far more shards than routers. The engine
+    // clamps to one router per shard; most shards idle every epoch, but
+    // every observable must still match serial exactly.
     let scheme = Scheme::batching(0.5);
     let (serial_stats, serial_net, serial_jsonl) = run(&scheme, 2024, 18, 0.10, 1);
     let (stats, net, jsonl) = run(&scheme, 2024, 18, 0.10, 64);
@@ -146,13 +142,11 @@ fn shard_count_exceeding_node_count_matches_serial() {
 }
 
 #[test]
-fn single_destination_topology_contends_one_commit_stream() {
-    // Degenerate destination partition: every router sits in one AS, so
-    // the whole run concerns a single prefix and every prefix-keyed
-    // commit op lands in the same stream (dest % streams is constant).
-    // The other streams only ever see node-keyed ops; identity must hold
-    // on this maximally contended path, and with a full mesh the epochs
-    // are busy enough that the parallel commit actually engages.
+fn single_destination_full_mesh_matches_serial() {
+    // Degenerate workload: every router sits in one AS, so the whole run
+    // concerns a single prefix over a full iBGP mesh — every router mails
+    // every shard in every busy epoch. Identity must hold, and the epochs
+    // are busy enough that Phase A actually fans out to the worker pool.
     use bgpsim_topology::{AsId, Point, Router, RouterId};
     let n = 24usize;
     let build = |shards: usize| {
@@ -170,7 +164,6 @@ fn single_destination_topology_contends_one_commit_stream() {
         }
         let mut cfg = SimConfig::new(1234);
         cfg.shards = Some(shards);
-        cfg.commit_streams = Some(shards);
         Network::new(Topology::new(routers, edges).unwrap(), cfg)
     };
     let mut serial = build(1);
@@ -183,9 +176,10 @@ fn single_destination_topology_contends_one_commit_stream() {
             "{shards} shards: convergence delay diverged"
         );
         assert_state_identical(&net, &serial, &format!("{shards} shards"));
+        let t = net.shard_phase_timings();
         assert!(
-            net.shard_phase_timings().parallel_commit_epochs > 0,
-            "{shards} shards: single-destination run never took the parallel commit path"
+            t.inline_phase_a_epochs < t.epochs,
+            "{shards} shards: single-destination run never fanned Phase A out"
         );
     }
 }
@@ -200,7 +194,6 @@ fn epoch_boundary_messages_keep_serial_order() {
         let mut cfg = SimConfig::new(4242);
         cfg.origination_window = SimDuration::ZERO;
         cfg.shards = Some(shards);
-        cfg.commit_streams = Some(shards);
         Network::new(topo(4242, 20), cfg)
     };
     let mut serial = build(1);

@@ -9,12 +9,10 @@
 //!    back into event timing or ordering.
 //! 2. **Traces are deterministic across shard counts.** The JSONL
 //!    serialization of the event stream from a sharded run
-//!    (`SimConfig::shards`) — with the destination-partitioned parallel
-//!    commit enabled (`SimConfig::commit_streams`) — is byte-identical
-//!    to the serial run's. This is stronger than equal `RunStats`: every
-//!    event, every field, every sequence number must match, which pins
-//!    both the Phase B walk order and the plan-index trace merge in
-//!    `shard.rs`.
+//!    (`SimConfig::shards`) is byte-identical to the serial run's. This
+//!    is stronger than equal `RunStats`: every event, every field, every
+//!    sequence number must match, which pins the Phase B walk order in
+//!    `shard.rs` that trace emission follows.
 
 use bgpsim::metrics::RunStats;
 use bgpsim::network::{Network, SimConfig};
@@ -53,9 +51,6 @@ fn run(
 ) -> (RunStats, Vec<TraceEvent>) {
     let mut cfg = SimConfig::from_scheme(scheme, seed);
     cfg.shards = Some(shards);
-    // One commit stream per shard: sharded runs must stay byte-identical
-    // with the parallel commit on, not just with the serial replay.
-    cfg.commit_streams = Some(shards);
     let mut net = Network::new(topo(seed, nodes), cfg);
     net.run_initial_convergence();
     net.inject_failure(&FailureSpec::CenterFraction(fraction));
