@@ -131,7 +131,30 @@ fn usage() {
     );
 }
 
+/// Rejects a seconds value that no `SimDuration` can hold: negative,
+/// NaN, or past the nanosecond counter's ~1.8e10 s.
+fn check_secs(flag: &str, secs: f64) -> Result<(), String> {
+    const MAX_SECS: f64 = u64::MAX as f64 / 1e9;
+    if (0.0..=MAX_SECS).contains(&secs) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{flag} {secs} is outside [0, {MAX_SECS:.1e}] seconds"
+        ))
+    }
+}
+
 fn build(args: &Args) -> Result<Experiment, String> {
+    if !(0.0..=1.0).contains(&args.failure) {
+        return Err(format!("--failure {} is outside [0, 1]", args.failure));
+    }
+    if args.trials == 0 {
+        return Err("--trials must be at least 1".into());
+    }
+    check_secs("--mrai", args.mrai)?;
+    if let Some(h) = args.hold_timer {
+        check_secs("--hold-timer", h)?;
+    }
     let topology = match args.topology.as_str() {
         "70-30" => TopologySpec::seventy_thirty(args.nodes),
         "50-50" => TopologySpec::fifty_fifty(args.nodes),

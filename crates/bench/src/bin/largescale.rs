@@ -27,9 +27,9 @@
 //! exits non-zero if peak RSS exceeds the ceiling. CI's `largescale`
 //! job runs this bin with a ceiling so a memory regression at Internet
 //! scale fails the build instead of silently eating the runner. The
-//! smaller 120/512-node memory points live in the `hotpath` harness's
-//! `memory` section; this bin exists because the 10k-AS point takes
-//! long enough to deserve its own job (and log progress per phase).
+//! benchmark's `rib.*` and `peak_rss_mb` metrics cover the smaller
+//! workloads; this bin exists because the 10k-AS point takes long enough
+//! to deserve its own job (and log progress per phase).
 //!
 //! The post-failure routing state is checked against ground-truth
 //! reachability (`assert_routing_consistent`) — this is a smoke trial,
@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use bgpsim::network::{Network, SimConfig};
 use bgpsim::scheme::Scheme;
-use bgpsim_topology::degree::caida_like;
+use bgpsim_topology::degree::{caida_like, CAIDA_LIKE_MIN_ASES};
 use bgpsim_topology::generators::skewed_topology;
 use bgpsim_topology::region::FailureSpec;
 use rand::rngs::SmallRng;
@@ -108,6 +108,16 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => return Err("help".into()),
             other => return Err(format!("unknown flag {other}")),
         }
+    }
+    if args.nodes < CAIDA_LIKE_MIN_ASES {
+        return Err(format!(
+            "--nodes {} is below {CAIDA_LIKE_MIN_ASES}, the fewest ASes the caida-like \
+             preset can tier",
+            args.nodes
+        ));
+    }
+    if !(0.0..=1.0).contains(&args.failure) {
+        return Err(format!("--failure {} is outside [0, 1]", args.failure));
     }
     Ok(args)
 }

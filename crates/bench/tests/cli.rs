@@ -126,3 +126,49 @@ fn ablation_flags_are_accepted() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// Runs `cmd` with `args` and asserts a clean rejection: non-zero exit, an
+/// `error: <flag>` diagnostic and no panic.
+fn assert_rejected(mut cmd: Command, args: &[&str]) {
+    let out = cmd.args(args).output().expect("binary runs");
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{args:?} was accepted");
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {text}");
+    assert!(
+        text.contains(&format!("error: {}", args[0])),
+        "{args:?}: no diagnostic naming the flag: {text}"
+    );
+    assert!(text.contains("usage:"), "{args:?}: no usage: {text}");
+    assert!(!text.contains("panicked"), "{args:?} panicked: {text}");
+}
+
+#[test]
+fn failure_fraction_outside_unit_interval_is_rejected() {
+    for value in ["1.5", "-0.1", "NaN"] {
+        assert_rejected(bgpsim(), &["--failure", value]);
+    }
+}
+
+#[test]
+fn bad_durations_and_zero_trials_are_rejected() {
+    for args in [
+        ["--mrai", "-1"],
+        ["--mrai", "NaN"],
+        ["--hold-timer", "-2"],
+        ["--trials", "0"],
+    ] {
+        assert_rejected(bgpsim(), &args);
+    }
+}
+
+#[test]
+fn largescale_rejects_too_few_nodes_and_bad_failure() {
+    let largescale = || Command::new(env!("CARGO_BIN_EXE_largescale"));
+    for args in [
+        ["--nodes", "30"],
+        ["--failure", "1.5"],
+        ["--failure", "NaN"],
+    ] {
+        assert_rejected(largescale(), &args);
+    }
+}

@@ -316,7 +316,7 @@ pub fn run_all_parallel(points: &[Experiment], threads: Option<usize>) -> Vec<Ag
 
 /// [`run_all_parallel`], additionally reporting the worker-thread count,
 /// per-trial wall-clock timings and snapshot-cache counters (consumed by
-/// the hot-path throughput harness, `BENCH_hotpath.json`).
+/// the benchmark's `experiment.*` and `warm.*` metrics).
 pub fn run_all_parallel_timed(
     points: &[Experiment],
     threads: Option<usize>,
@@ -325,8 +325,8 @@ pub fn run_all_parallel_timed(
 }
 
 /// [`run_all_parallel_timed`] without the warm-start snapshot cache:
-/// every trial re-converges from cold. Kept as the reference path for the
-/// cold-vs-warm comparison in the `hotpath` bench.
+/// every trial re-converges from cold. Kept as the reference path the
+/// warm-start tests compare against.
 pub fn run_all_parallel_timed_cold(
     points: &[Experiment],
     threads: Option<usize>,

@@ -548,8 +548,7 @@ pub fn fig_transient_routes(opts: FigOpts) -> FigureData {
 /// (power-law split across ASes, [`FullTableSpec`](crate::FullTableSpec));
 /// the failed region's origins stay alive and withdraw their whole prefix
 /// blocks in one event storm. Not part of [`all_figures`] — the goldens
-/// pin the paper's thirteen — the `fulltable` sections of the largescale
-/// and hotpath benches drive it instead.
+/// pin the paper's thirteen — the `fig_fulltable` bin drives it instead.
 pub fn fig_fulltable(opts: FigOpts, sizes: &[u32]) -> FigureData {
     use bgpsim_des::RngStreams;
     let scheme_base = Scheme::batching(0.5);

@@ -23,7 +23,7 @@ use bgpsim_bgp::node::Action;
 use bgpsim_bgp::policy::{relationship_by_tier, PolicyMode, Relationship};
 use bgpsim_bgp::queue::QueueDiscipline;
 use bgpsim_bgp::{BgpNode, NodeConfig, Prefix, UpdateMsg};
-use bgpsim_des::{Fel, FelKind, RngStreams, SimDuration, SimTime};
+use bgpsim_des::{FelKind, RngStreams, Scheduler, SimDuration, SimTime};
 use bgpsim_topology::region::FailureSpec;
 use bgpsim_topology::{AsId, RouterId, Topology};
 use rand::Rng;
@@ -170,8 +170,9 @@ pub struct SimConfig {
     /// is ignored and [`Network::commit_stream_count`] reports the shard
     /// count. Kept so existing configurations still build.
     pub commit_streams: Option<usize>,
-    /// Future-event-list backend. `None` falls back to the `BGPSIM_FEL`
-    /// environment variable (`heap`/`calendar`), absent → binary heap.
+    /// Inert: the binary-heap [`Scheduler`] is the only future-event
+    /// list, so the value is ignored and [`Network::fel_kind`] reports
+    /// [`FelKind::Heap`]. Kept so existing configurations still build.
     pub fel: Option<FelKind>,
     /// Root seed for all randomness in this run.
     pub seed: u64,
@@ -694,7 +695,7 @@ impl MemoryFootprint {
 pub struct Network {
     pub(crate) topo: Topology,
     pub(crate) cfg: SimConfig,
-    pub(crate) sched: Fel<Ev>,
+    pub(crate) sched: Scheduler<Ev>,
     pub(crate) nodes: Vec<Option<BgpNode>>,
     /// Deduplicated node configurations (see [`intern_node_config`]):
     /// every node — including revived ones — holds an `Arc` into this
@@ -890,12 +891,11 @@ impl Network {
             .or_else(|| env_count("BGPSIM_SHARDS"))
             .unwrap_or(1)
             .max(1);
-        let fel_kind = cfg.fel.or_else(FelKind::from_env).unwrap_or_default();
 
         Network {
             topo,
             cfg,
-            sched: Fel::new(fel_kind),
+            sched: Scheduler::new(),
             nodes,
             cfg_arena,
             sessions,
@@ -994,9 +994,9 @@ impl Network {
         &self.shard_load
     }
 
-    /// The future-event-list backend this network uses.
+    /// The future-event-list backend: always the binary heap.
     pub fn fel_kind(&self) -> FelKind {
-        self.sched.kind()
+        FelKind::Heap
     }
 
     /// Distinct [`NodeConfig`] allocations in the interned config arena.
@@ -1008,8 +1008,8 @@ impl Network {
     }
 
     /// Measures the routing-state heap of every live router plus the
-    /// config arena — the numbers behind the `memory` section of the
-    /// hotpath benchmark and the `largescale` smoke bin (DESIGN.md §12).
+    /// config arena — the numbers behind the benchmark's `rib.*` metrics
+    /// and the `largescale` smoke bin (DESIGN.md §12).
     pub fn memory_footprint(&self) -> MemoryFootprint {
         let mut f = MemoryFootprint {
             config_arena_entries: self.cfg_arena.len(),

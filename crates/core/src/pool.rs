@@ -6,8 +6,7 @@
 //! sharing this single pool. Keeping the threads parked for the life of
 //! the process — instead of the per-pump `crossbeam::thread::scope` spawn
 //! and the per-epoch `mpsc` round trip PR 6 used — makes a small epoch
-//! cost one condvar wake instead of a channel hop, which is what the
-//! `small_epoch` section of the `hotpath` bench measures.
+//! cost one condvar wake instead of a channel hop.
 //!
 //! This module is policy only (sizing and sharing); the mechanism — the
 //! parked threads, the scoped-borrow safety argument, the helping barrier

@@ -13,8 +13,7 @@
 //! There is no central event list while the loop runs. At pump start the
 //! network's FEL is **partitioned**: drained wholesale and every event
 //! re-inserted (under its existing `(time, id)` key) into its owning
-//! shard's private [`Fel`] of the same backend. Each epoch then has two
-//! phases:
+//! shard's private [`Scheduler`]. Each epoch then has two phases:
 //!
 //! 1. **Execute (parallel, Phase A).** Every *engaged* shard — one with an
 //!    event before `epoch_end = t0 + lookahead`, or with mail from the
@@ -110,7 +109,7 @@ use std::time::Instant;
 use bgpsim_bgp::node::Action;
 use bgpsim_bgp::trace::NodeEvent;
 use bgpsim_bgp::BgpNode;
-use bgpsim_des::{EventId, Fel, SimDuration, SimTime};
+use bgpsim_des::{EventId, Scheduler, SimDuration, SimTime};
 use bgpsim_topology::RouterId;
 
 use crate::network::{dispatch, follow_up, Ev, Network, World};
@@ -381,7 +380,7 @@ struct EpochCtx<'a> {
 /// the coordinator's inline path can run the same code on it; the epoch
 /// protocol guarantees every lock is uncontended.
 struct ShardSlot {
-    fel: Fel<Ev>,
+    fel: Scheduler<Ev>,
     base: usize,
     nodes: Vec<Option<BgpNode>>,
     /// Intra-epoch follow-ups under local keys.
@@ -524,7 +523,12 @@ struct Cursor {
 /// Phase B: merges the shards' records in global `(time, id)` order,
 /// allocating each record's id block from the central FEL and emitting its
 /// trace events.
-fn walk(outs: &mut [EpochOut], cursors: &mut [Cursor], sched: &mut Fel<Ev>, trace: &mut TraceSink) {
+fn walk(
+    outs: &mut [EpochOut],
+    cursors: &mut [Cursor],
+    sched: &mut Scheduler<Ev>,
+    trace: &mut TraceSink,
+) {
     let head = |out: &EpochOut, i: usize| out.recs.get(i).map(|r| (r.t, out.resolve(r.key)));
     for (cur, out) in cursors.iter_mut().zip(outs.iter()) {
         *cur = Cursor {
@@ -578,13 +582,12 @@ pub(crate) fn pump_sharded(net: &mut Network) {
         shard_of[bounds[s]..bounds[s + 1]].fill(s as u32);
     }
 
-    // Build the shard slots — router chunks plus a private FEL each, of
-    // the same backend as the network's — and partition the central FEL
-    // onto them: every pending event moves to its owner's shard under its
-    // existing (time, id) key. The central list stays empty until the
-    // pump ends; only its id/delivery accounting advances (in the walk).
+    // Build the shard slots — router chunks plus a private FEL each —
+    // and partition the central FEL onto them: every pending event moves
+    // to its owner's shard under its existing (time, id) key. The central
+    // list stays empty until the pump ends; only its id/delivery
+    // accounting advances (in the walk).
     let partition_start = Instant::now();
-    let fel_kind = net.sched.kind();
     let mut chunks: Vec<Vec<Option<BgpNode>>> = Vec::with_capacity(shards);
     let mut rest = std::mem::take(&mut net.nodes);
     for s in (0..shards).rev() {
@@ -597,7 +600,7 @@ pub(crate) fn pump_sharded(net: &mut Network) {
         .enumerate()
         .map(|(s, nodes)| {
             Mutex::new(ShardSlot {
-                fel: Fel::new(fel_kind),
+                fel: Scheduler::new(),
                 base: bounds[s],
                 nodes,
                 local: BinaryHeap::new(),

@@ -117,7 +117,7 @@ impl NetworkSnapshot {
 /// Counters a [`SnapshotCache`] keeps about its own effectiveness,
 /// reported through
 /// [`ParallelReport::warm`](crate::experiment::ParallelReport) and the
-/// `hotpath` bench's warm-start section.
+/// benchmark's `warm.*` metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct WarmStats {
     /// Snapshots built (cache misses that ran initial convergence).

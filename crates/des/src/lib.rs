@@ -11,12 +11,8 @@
 //! * [`Scheduler`] — a stable future-event list: events scheduled for the
 //!   same instant are delivered in insertion order, and events can be
 //!   cancelled via their [`EventId`].
-//! * [`CalendarQueue`] — an API-compatible calendar-queue alternative
-//!   (Brown 1988), property-tested to deliver the exact same order; the
-//!   benches compare the two.
-//! * [`FutureEventList`] / [`Fel`] — the shared FEL contract and a
-//!   runtime-selected backend enum, so a simulation can swap heap for
-//!   calendar (env knob `BGPSIM_FEL`) without code changes.
+//! * [`Fel`] / [`FelKind`] — the names of the earlier pluggable-backend
+//!   API; a `Fel` is a [`Scheduler`].
 //! * [`rng`] — deterministic per-component random-number streams derived
 //!   from a single root seed, plus the RFC 1771 timer-jitter helper.
 //!
@@ -36,16 +32,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod calendar;
 mod event;
 mod fel;
 pub mod rng;
 mod sched;
 mod time;
 
-pub use calendar::CalendarQueue;
 pub use event::EventId;
-pub use fel::{Fel, FelKind, FutureEventList};
+pub use fel::{Fel, FelKind};
 pub use rng::RngStreams;
 pub use sched::Scheduler;
 pub use time::{SimDuration, SimTime};

@@ -801,6 +801,30 @@ mod tests {
     }
 
     #[test]
+    fn drain_all_then_insert_allocated_keeps_delivery_order() {
+        // Partition round-trip: drain one list wholesale, re-insert into a
+        // fresh list, and the delivery order must be the original
+        // (time, id) order — drain_all's arbitrary ordering must not be
+        // observable.
+        let mut src: Scheduler<u32> = Scheduler::new();
+        for i in 0..25u64 {
+            src.schedule(SimTime::from_millis(i * 17 % 60), i as u32);
+        }
+        let dead = src.schedule(SimTime::from_millis(5), 999);
+        assert!(src.cancel(dead));
+        let mut reference = src.clone();
+        let mut dst: Scheduler<u32> = Scheduler::new();
+        for (at, id, p) in src.drain_all() {
+            dst.insert_allocated(at, id, p);
+        }
+        assert!(src.is_empty());
+        assert_eq!(dst.len(), 25);
+        let got: Vec<_> = std::iter::from_fn(|| dst.next()).collect();
+        let want: Vec<_> = std::iter::from_fn(|| reference.next()).collect();
+        assert_eq!(got, want, "partition round-trip reordered deliveries");
+    }
+
+    #[test]
     fn mark_delivered_many_batches_accounting() {
         let mut one: Scheduler<u8> = Scheduler::new();
         for i in 1..=5u64 {

@@ -143,6 +143,9 @@ impl SkewedSpec {
     }
 }
 
+/// The fewest ASes [`caida_like`] can split into stub and transit tiers.
+pub const CAIDA_LIKE_MIN_ASES: usize = 64;
+
 /// CAIDA-like AS-level degree distribution for Internet-scale topologies
 /// (the ROADMAP's 10k–70k-AS target): a tiered stub/transit mix with a
 /// power-law transit tail and overall average degree ≈ 4.2, the shape of
@@ -173,9 +176,12 @@ impl SkewedSpec {
 ///
 /// # Panics
 ///
-/// Panics if `n < 64` — too few ASes to tier.
+/// Panics if `n <` [`CAIDA_LIKE_MIN_ASES`] — too few ASes to tier.
 pub fn caida_like(n: usize) -> SkewedSpec {
-    assert!(n >= 64, "caida_like needs a population to tier (n >= 64)");
+    assert!(
+        n >= CAIDA_LIKE_MIN_ASES,
+        "caida_like needs a population to tier (n >= {CAIDA_LIKE_MIN_ASES})"
+    );
     const STUB_FRACTION: f64 = 0.82;
     const TARGET_MEAN: f64 = 4.2;
     let stub_mean = 2.0; // uniform 1..=3

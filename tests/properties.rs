@@ -74,44 +74,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Scheduler ↔ calendar-queue equivalence
-// ---------------------------------------------------------------------
-
-proptest! {
-    /// Driving the heap scheduler and the calendar queue with identical
-    /// schedules and cancellations yields identical delivery sequences.
-    #[test]
-    fn calendar_queue_matches_heap_scheduler(
-        times in prop::collection::vec(0u64..500_000_000, 1..150),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..150),
-    ) {
-        use bgpsim_des::CalendarQueue;
-        let mut heap: Scheduler<usize> = Scheduler::new();
-        let mut cal: CalendarQueue<usize> = CalendarQueue::new();
-        let mut heap_ids = Vec::new();
-        let mut cal_ids = Vec::new();
-        for (i, &t) in times.iter().enumerate() {
-            heap_ids.push(heap.schedule(SimTime::from_nanos(t), i));
-            cal_ids.push(cal.schedule(SimTime::from_nanos(t), i));
-        }
-        for (i, (&h, &c)) in heap_ids.iter().zip(&cal_ids).enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                prop_assert_eq!(heap.cancel(h), cal.cancel(c));
-            }
-        }
-        prop_assert_eq!(heap.len(), cal.len());
-        loop {
-            let a = heap.next();
-            let b = cal.next();
-            prop_assert_eq!(a, b, "delivery sequences diverged");
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // AS paths and the decision process
 // ---------------------------------------------------------------------
 
