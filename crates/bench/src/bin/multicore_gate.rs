@@ -44,28 +44,6 @@ fn usage() {
     eprintln!("usage: multicore_gate [--out PATH]");
 }
 
-/// Restores an env knob to its pre-gate state.
-fn restore_env(key: &str, prev: Option<String>) {
-    match prev {
-        Some(v) => std::env::set_var(key, v),
-        None => std::env::remove_var(key),
-    }
-}
-
-/// The sharded engine's per-phase wall-clock split as a JSON object.
-fn phases_json(t: &bgpsim::ShardPhaseTimings) -> serde_json::Value {
-    serde_json::json!({
-        "epochs": t.epochs,
-        "inline_phase_a_epochs": t.inline_phase_a_epochs,
-        "drain_secs": t.drain_secs,
-        "phase_a_secs": t.phase_a_secs,
-        "phase_b_secs": t.phase_b_secs,
-        "merge_secs": t.merge_secs,
-        "mailbox_exchange_secs": t.mailbox_exchange_secs,
-        "serial_fraction": t.serial_fraction(),
-    })
-}
-
 /// Serial vs `GATE_SHARDS`-way sharded on the 512-node batching
 /// workload. Bit-identity is always a hard failure; the
 /// ≥ `GATE_MIN_SPEEDUP`× aggregate-speedup bar is enforced only on
@@ -84,7 +62,6 @@ fn run_multicore_gate(out: &str) -> ExitCode {
         trials: 1,
         base_seed: SEED,
     };
-    let prev_shards = std::env::var("BGPSIM_SHARDS").ok();
     let run = |shards: usize| {
         std::env::set_var("BGPSIM_SHARDS", shards.to_string());
         let started = Instant::now();
@@ -99,7 +76,6 @@ fn run_multicore_gate(out: &str) -> ExitCode {
         serial_stats.events
     );
     let (sharded_stats, sharded_wall, phases) = run(GATE_SHARDS);
-    restore_env("BGPSIM_SHARDS", prev_shards);
     let identical = sharded_stats == serial_stats;
     let speedup = if sharded_wall > 0.0 {
         serial_wall / sharded_wall
@@ -132,7 +108,16 @@ fn run_multicore_gate(out: &str) -> ExitCode {
         "speedup": speedup,
         "required_speedup": GATE_MIN_SPEEDUP,
         "identical_to_serial": identical,
-        "phases": phases_json(&phases),
+        "phases": serde_json::json!({
+            "epochs": phases.epochs,
+            "inline_phase_a_epochs": phases.inline_phase_a_epochs,
+            "drain_secs": phases.drain_secs,
+            "phase_a_secs": phases.phase_a_secs,
+            "phase_b_secs": phases.phase_b_secs,
+            "merge_secs": phases.merge_secs,
+            "mailbox_exchange_secs": phases.mailbox_exchange_secs,
+            "serial_fraction": phases.serial_fraction(),
+        }),
         "enforced": enforced,
         "passed": passed,
     });

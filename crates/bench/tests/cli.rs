@@ -143,15 +143,11 @@ fn assert_rejected(mut cmd: Command, args: &[&str]) {
 }
 
 #[test]
-fn failure_fraction_outside_unit_interval_is_rejected() {
-    for value in ["1.5", "-0.1", "NaN"] {
-        assert_rejected(bgpsim(), &["--failure", value]);
-    }
-}
-
-#[test]
-fn bad_durations_and_zero_trials_are_rejected() {
+fn out_of_range_numbers_are_rejected() {
     for args in [
+        ["--failure", "1.5"],
+        ["--failure", "-0.1"],
+        ["--failure", "NaN"],
         ["--mrai", "-1"],
         ["--mrai", "NaN"],
         ["--hold-timer", "-2"],
@@ -164,11 +160,13 @@ fn bad_durations_and_zero_trials_are_rejected() {
 #[test]
 fn largescale_rejects_too_few_nodes_and_bad_failure() {
     let largescale = || Command::new(env!("CARGO_BIN_EXE_largescale"));
+    // The smallest valid size keeps a regression from starting the
+    // default 10,000-AS run.
     for args in [
-        ["--nodes", "30"],
-        ["--failure", "1.5"],
-        ["--failure", "NaN"],
+        &["--nodes", "30"][..],
+        &["--failure", "1.5", "--nodes", "64"],
+        &["--failure", "NaN", "--nodes", "64"],
     ] {
-        assert_rejected(largescale(), &args);
+        assert_rejected(largescale(), args);
     }
 }
