@@ -33,15 +33,10 @@ fn parse_args() -> Result<String, String> {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--out" => out = it.next().ok_or("--out requires a value")?,
-            "--help" | "-h" => return Err("help".into()),
             other => return Err(format!("unknown flag {other}")),
         }
     }
     Ok(out)
-}
-
-fn usage() {
-    eprintln!("usage: multicore_gate [--out PATH]");
 }
 
 /// Serial vs `GATE_SHARDS`-way sharded on the 512-node batching
@@ -153,15 +148,9 @@ fn main() -> ExitCode {
     match parse_args() {
         Ok(out) => run_multicore_gate(&out),
         Err(msg) => {
-            if msg != "help" {
-                eprintln!("error: {msg}");
-            }
-            usage();
-            if msg == "help" {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+            eprintln!("error: {msg}");
+            eprintln!("usage: multicore_gate [--out PATH]");
+            ExitCode::FAILURE
         }
     }
 }
