@@ -192,13 +192,24 @@ fn build(args: &Args) -> Result<Experiment, String> {
         "random" => FailureSpec::RandomFraction(args.failure),
         other => return Err(format!("unknown region {other}")),
     };
-    Ok(Experiment {
+    let exp = Experiment {
         topology,
         scheme,
         failure,
         trials: args.trials,
         base_seed: args.seed,
-    })
+    };
+    // Whether a node count is too small depends on the topology family and
+    // the seed, so check each trial's draw before running any of them.
+    for trial in 0..exp.trials {
+        exp.trial_topology(trial).map_err(|e| {
+            format!(
+                "--nodes {}: trial {trial} cannot draw a {} topology: {e}",
+                args.nodes, args.topology
+            )
+        })?;
+    }
+    Ok(exp)
 }
 
 fn main() -> ExitCode {

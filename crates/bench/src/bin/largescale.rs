@@ -17,8 +17,8 @@
 //! ```
 //!
 //! `--table-size P` switches to the full-table workload: `P` prefixes
-//! total, power-law split across ASes through the longest-prefix-match
-//! trie, and the failure step becomes a *burst withdrawal* — the central
+//! total, power-law split across ASes in contiguous blocks, and the
+//! failure step becomes a *burst withdrawal* — the central
 //! `--failure` fraction's origins stay up but withdraw their whole prefix
 //! blocks in one event storm. This is the table-size axis of the memory
 //! gate: routes scale with `nodes × P` instead of `nodes²`.

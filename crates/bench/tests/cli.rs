@@ -155,6 +155,10 @@ fn out_of_range_numbers_are_rejected() {
     ] {
         assert_rejected(bgpsim(), &args);
     }
+    // Too few nodes for the topology family: the generator cannot realise
+    // the degree distribution, which must not surface as a panic.
+    assert_rejected(bgpsim(), &["--nodes", "8"]);
+    assert_rejected(bgpsim(), &["--nodes", "12", "--topology", "85-15"]);
 }
 
 #[test]

@@ -15,7 +15,7 @@
 use bgpsim_topology::RouterId;
 
 use crate::msg::Prefix;
-use crate::rib::{EngineRibIn, NextHop, RouteEntry, Selected};
+use crate::rib::{AdjRibIn, NextHop, RouteEntry, Selected};
 
 /// Selects the best route for `prefix` among the Adj-RIB-In candidates.
 ///
@@ -25,11 +25,11 @@ use crate::rib::{EngineRibIn, NextHop, RouteEntry, Selected};
 ///
 /// ```
 /// use bgpsim_bgp::decision::select_best;
-/// use bgpsim_bgp::rib::{EngineRibIn, RouteEntry};
+/// use bgpsim_bgp::rib::{AdjRibIn, RouteEntry};
 /// use bgpsim_bgp::{AsPath, Prefix};
 /// use bgpsim_topology::{AsId, RouterId};
 ///
-/// let mut rib = EngineRibIn::new();
+/// let mut rib = AdjRibIn::new();
 /// let p = Prefix::new(0);
 /// rib.insert(p, RouterId::new(9), RouteEntry {
 ///     path: AsPath::from_hops([AsId::new(1)]), ibgp: false, rank: 0 });
@@ -38,7 +38,7 @@ use crate::rib::{EngineRibIn, NextHop, RouteEntry, Selected};
 /// let best = select_best(p, &rib).expect("a candidate exists");
 /// assert_eq!(best.path.len(), 1, "shortest path wins");
 /// ```
-pub fn select_best(prefix: Prefix, rib_in: &EngineRibIn) -> Option<Selected> {
+pub fn select_best(prefix: Prefix, rib_in: &AdjRibIn) -> Option<Selected> {
     let mut best: Option<(RouterId, &RouteEntry)> = None;
     for (peer, entry) in rib_in.candidates(prefix) {
         best = Some(match best {
@@ -113,7 +113,7 @@ pub enum Incremental {
 /// `incremental_selection_matches_full_rescan` property test.
 pub fn select_incremental(
     prefix: Prefix,
-    rib_in: &EngineRibIn,
+    rib_in: &AdjRibIn,
     installed: Option<&Selected>,
     changed: &[RouterId],
 ) -> Incremental {
@@ -188,13 +188,13 @@ mod tests {
 
     #[test]
     fn empty_rib_gives_none() {
-        let rib = EngineRibIn::new();
+        let rib = AdjRibIn::new();
         assert!(select_best(Prefix::new(0), &rib).is_none());
     }
 
     #[test]
     fn shortest_path_wins() {
-        let mut rib = EngineRibIn::new();
+        let mut rib = AdjRibIn::new();
         let p = Prefix::new(0);
         rib.insert(p, rid(1), entry(&[1, 2, 3], false));
         rib.insert(p, rid(2), entry(&[4, 3], false));
@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn ebgp_beats_ibgp_on_equal_length() {
-        let mut rib = EngineRibIn::new();
+        let mut rib = AdjRibIn::new();
         let p = Prefix::new(0);
         rib.insert(p, rid(1), entry(&[7, 8], true));
         rib.insert(p, rid(2), entry(&[5, 8], false));
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn lowest_peer_id_breaks_full_ties() {
-        let mut rib = EngineRibIn::new();
+        let mut rib = AdjRibIn::new();
         let p = Prefix::new(0);
         // All candidates tie on length (1) and session type (eBGP).
         rib.insert(p, rid(9), entry(&[1], false));
@@ -229,10 +229,10 @@ mod tests {
     #[test]
     fn selection_is_deterministic_in_insertion_order() {
         let p = Prefix::new(0);
-        let mut rib1 = EngineRibIn::new();
+        let mut rib1 = AdjRibIn::new();
         rib1.insert(p, rid(1), entry(&[1], false));
         rib1.insert(p, rid(2), entry(&[2], false));
-        let mut rib2 = EngineRibIn::new();
+        let mut rib2 = AdjRibIn::new();
         rib2.insert(p, rid(2), entry(&[2], false));
         rib2.insert(p, rid(1), entry(&[1], false));
         assert_eq!(select_best(p, &rib1), select_best(p, &rib2));

@@ -1,52 +1,23 @@
-//! IPv4 prefixes and a longest-prefix-match binary trie.
+//! IPv4 CIDR names for the dense prefix slots.
 //!
-//! Everything else in the workspace keys routes by the dense slot index
-//! [`Prefix`] — a `u32` into prefix-indexed `Vec` rows (the compact RIBs of
-//! DESIGN.md §12). That representation is exactly right for storage and
-//! wrong in kind for *naming*: real tables hold CIDR prefixes, forwarding
-//! is longest-prefix match, and bursts of withdrawals tear down address
-//! *blocks*, not indices. This module supplies the naming layer:
-//!
-//! * [`IpPrefix`] — a canonical IPv4 CIDR prefix (`10.0.0.0/8`).
-//! * [`IpTrie`] — a binary (unibit) trie over prefixes with exact-match
-//!   insert/remove, longest-prefix-match lookup, covering/covered queries,
-//!   and sibling aggregation.
-//! * [`PrefixTable`] — the bridge between the two worlds: it interns each
-//!   announced `IpPrefix` into the trie and hands out **stable slot
-//!   indices** in interning order. Slots are never reused or renumbered —
-//!   withdrawing a prefix leaves its slot allocated — so every dense
-//!   `Vec`-row structure (Adj-RIB-In rows, Loc-RIB, delta Adj-RIB-Out)
-//!   keyed by [`Prefix`] stays valid for the lifetime of a run, and the
-//!   decision process's candidate iteration order is untouched by trie
-//!   membership churn. The flat allocator the default workloads use
-//!   (`as_index * k + j`) is the degenerate case: interning blocks in AS
-//!   order reproduces it exactly.
-//!
-//! The trie is deliberately a plain unibit trie (one bit per level, boxed
-//! children): table *construction* and burst teardown are O(32) per
-//! operation, and the simulator's hot paths never walk it — they use the
-//! slot index. A multibit/LC trie would buy lookup speed the simulator
-//! does not spend.
+//! Everything in the workspace keys routes by the dense slot index
+//! [`Prefix`](crate::Prefix) — a `u32` into prefix-indexed `Vec` rows (the
+//! compact RIBs of DESIGN.md §12). [`IpPrefix`] is how a slot is shown to
+//! people: the network names slot `s` as the /32 at address
+//! `10.0.0.0 + s` (`Network::ip_of_prefix` in the `bgpsim` crate), and the
+//! full-table example writes that name beside each withdrawn slot.
 
 use std::fmt;
-use std::str::FromStr;
-
-use serde::{Deserialize, Serialize};
-
-use crate::msg::Prefix;
 
 /// A canonical IPv4 CIDR prefix: `bits` with everything below
 /// `32 - len` masked to zero.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct IpPrefix {
     bits: u32,
     len: u8,
 }
 
 impl IpPrefix {
-    /// The all-addresses prefix `0.0.0.0/0`.
-    pub const DEFAULT: IpPrefix = IpPrefix { bits: 0, len: 0 };
-
     /// Creates a prefix, masking any host bits (`10.0.0.7/8` becomes
     /// `10.0.0.0/8`).
     ///
@@ -55,24 +26,11 @@ impl IpPrefix {
     /// Panics if `len > 32`.
     pub fn new(bits: u32, len: u8) -> IpPrefix {
         assert!(len <= 32, "prefix length {len} > 32");
+        let mask = u32::MAX.checked_shl(32 - u32::from(len)).unwrap_or(0);
         IpPrefix {
-            bits: bits & Self::mask(len),
+            bits: bits & mask,
             len,
         }
-    }
-
-    /// The network mask for a prefix length.
-    pub fn mask(len: u8) -> u32 {
-        if len == 0 {
-            0
-        } else {
-            u32::MAX << (32 - len as u32)
-        }
-    }
-
-    /// Builds a prefix from dotted-quad parts.
-    pub fn from_parts(a: u8, b: u8, c: u8, d: u8, len: u8) -> IpPrefix {
-        IpPrefix::new(u32::from_be_bytes([a, b, c, d]), len)
     }
 
     /// The (masked) network bits.
@@ -80,72 +38,11 @@ impl IpPrefix {
         self.bits
     }
 
-    /// The prefix length. This is a mask width, not a container size —
-    /// "empty" is meaningless here (a /0 is the default route, see
-    /// [`is_default`](IpPrefix::is_default)).
+    /// The prefix length. This is a mask width, not a container size, so
+    /// there is no `is_empty` (a /0 is the default route).
     #[allow(clippy::len_without_is_empty)]
     pub fn len(self) -> u8 {
         self.len
-    }
-
-    /// Whether this is the zero-length default route.
-    pub fn is_default(self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether `addr` falls inside this prefix.
-    pub fn contains(self, addr: u32) -> bool {
-        addr & Self::mask(self.len) == self.bits
-    }
-
-    /// Whether this prefix covers `other` (equal or strictly shorter and
-    /// containing it). Every prefix covers itself.
-    pub fn covers(self, other: IpPrefix) -> bool {
-        self.len <= other.len && other.bits & Self::mask(self.len) == self.bits
-    }
-
-    /// The immediately covering prefix (`10.4.0.0/16` → `10.4.0.0/15`),
-    /// or `None` at the default route.
-    pub fn parent(self) -> Option<IpPrefix> {
-        match self.len {
-            0 => None,
-            n => Some(IpPrefix::new(self.bits, n - 1)),
-        }
-    }
-
-    /// The other half of this prefix's parent (`10.0.0.0/9` ↔
-    /// `10.128.0.0/9`), or `None` at the default route.
-    pub fn sibling(self) -> Option<IpPrefix> {
-        match self.len {
-            0 => None,
-            n => Some(IpPrefix {
-                bits: self.bits ^ (1u32 << (32 - n as u32)),
-                len: n,
-            }),
-        }
-    }
-
-    /// Deaggregates into the two halves one bit longer
-    /// (`10.0.0.0/8` → `10.0.0.0/9` + `10.128.0.0/9`), or `None` at /32.
-    pub fn halves(self) -> Option<(IpPrefix, IpPrefix)> {
-        if self.len >= 32 {
-            return None;
-        }
-        let lo = IpPrefix {
-            bits: self.bits,
-            len: self.len + 1,
-        };
-        let hi = IpPrefix {
-            bits: self.bits | (1u32 << (31 - self.len as u32)),
-            len: self.len + 1,
-        };
-        Some((lo, hi))
-    }
-
-    /// The `i`-th bit of an address counted from the most significant
-    /// (bit 0 selects the top-level trie branch).
-    fn bit(addr: u32, i: u8) -> usize {
-        ((addr >> (31 - i as u32)) & 1) as usize
     }
 }
 
@@ -162,575 +59,18 @@ impl fmt::Debug for IpPrefix {
     }
 }
 
-/// Error from parsing an [`IpPrefix`] out of `a.b.c.d/len` text.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParsePrefixError(String);
-
-impl fmt::Display for ParsePrefixError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid IPv4 prefix: {}", self.0)
-    }
-}
-
-impl std::error::Error for ParsePrefixError {}
-
-impl FromStr for IpPrefix {
-    type Err = ParsePrefixError;
-
-    fn from_str(s: &str) -> Result<IpPrefix, ParsePrefixError> {
-        let err = || ParsePrefixError(s.to_string());
-        let (addr, len) = s.split_once('/').ok_or_else(err)?;
-        let len: u8 = len.parse().map_err(|_| err())?;
-        if len > 32 {
-            return Err(err());
-        }
-        let mut octets = [0u8; 4];
-        let mut parts = addr.split('.');
-        for o in &mut octets {
-            *o = parts.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        }
-        if parts.next().is_some() {
-            return Err(err());
-        }
-        Ok(IpPrefix::new(u32::from_be_bytes(octets), len))
-    }
-}
-
-/// One unibit trie node. A node exists iff some stored prefix passes
-/// through it; `value` is set iff a prefix *ends* here.
-#[derive(Clone, Debug)]
-struct TrieNode<T> {
-    value: Option<T>,
-    kids: [Option<Box<TrieNode<T>>>; 2],
-}
-
-impl<T> TrieNode<T> {
-    fn empty() -> TrieNode<T> {
-        TrieNode {
-            value: None,
-            kids: [None, None],
-        }
-    }
-
-    fn is_leaf(&self) -> bool {
-        self.kids[0].is_none() && self.kids[1].is_none()
-    }
-}
-
-/// A binary longest-prefix-match trie mapping [`IpPrefix`]es to values.
-#[derive(Clone, Debug)]
-pub struct IpTrie<T> {
-    root: TrieNode<T>,
-    len: usize,
-}
-
-impl<T> Default for IpTrie<T> {
-    fn default() -> IpTrie<T> {
-        IpTrie::new()
-    }
-}
-
-impl<T> IpTrie<T> {
-    /// An empty trie.
-    pub fn new() -> IpTrie<T> {
-        IpTrie {
-            root: TrieNode::empty(),
-            len: 0,
-        }
-    }
-
-    /// Number of stored prefixes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no prefixes are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Inserts `value` at `prefix`, returning the previous value if the
-    /// prefix was already present.
-    pub fn insert(&mut self, prefix: IpPrefix, value: T) -> Option<T> {
-        let mut node = &mut self.root;
-        for i in 0..prefix.len() {
-            let b = IpPrefix::bit(prefix.bits(), i);
-            node = node.kids[b].get_or_insert_with(|| Box::new(TrieNode::empty()));
-        }
-        let old = node.value.replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
-    }
-
-    /// Looks up the exact prefix.
-    pub fn get(&self, prefix: IpPrefix) -> Option<&T> {
-        let mut node = &self.root;
-        for i in 0..prefix.len() {
-            node = node.kids[IpPrefix::bit(prefix.bits(), i)].as_deref()?;
-        }
-        node.value.as_ref()
-    }
-
-    /// Mutable exact lookup.
-    pub fn get_mut(&mut self, prefix: IpPrefix) -> Option<&mut T> {
-        let mut node = &mut self.root;
-        for i in 0..prefix.len() {
-            node = node.kids[IpPrefix::bit(prefix.bits(), i)].as_deref_mut()?;
-        }
-        node.value.as_mut()
-    }
-
-    /// Removes the exact prefix, pruning now-empty interior nodes so the
-    /// structure stays proportional to the live table.
-    pub fn remove(&mut self, prefix: IpPrefix) -> Option<T> {
-        fn rec<T>(node: &mut TrieNode<T>, bits: u32, len: u8, depth: u8) -> Option<T> {
-            if depth == len {
-                return node.value.take();
-            }
-            let b = IpPrefix::bit(bits, depth);
-            let child = node.kids[b].as_deref_mut()?;
-            let out = rec(child, bits, len, depth + 1);
-            if out.is_some() && child.value.is_none() && child.is_leaf() {
-                node.kids[b] = None;
-            }
-            out
-        }
-        let out = rec(&mut self.root, prefix.bits(), prefix.len(), 0);
-        if out.is_some() {
-            self.len -= 1;
-        }
-        out
-    }
-
-    /// Longest-prefix-match for a full 32-bit address: the most specific
-    /// stored prefix containing `addr`.
-    pub fn lookup(&self, addr: u32) -> Option<(IpPrefix, &T)> {
-        let mut node = &self.root;
-        let mut best: Option<(IpPrefix, &T)> =
-            self.root.value.as_ref().map(|v| (IpPrefix::DEFAULT, v));
-        for i in 0..32u8 {
-            let Some(next) = node.kids[IpPrefix::bit(addr, i)].as_deref() else {
-                break;
-            };
-            node = next;
-            if let Some(v) = node.value.as_ref() {
-                best = Some((IpPrefix::new(addr, i + 1), v));
-            }
-        }
-        best
-    }
-
-    /// The most specific stored prefix covering `prefix` (including
-    /// `prefix` itself) — LPM generalized from addresses to prefixes.
-    pub fn lookup_covering(&self, prefix: IpPrefix) -> Option<(IpPrefix, &T)> {
-        let mut node = &self.root;
-        let mut best: Option<(IpPrefix, &T)> =
-            self.root.value.as_ref().map(|v| (IpPrefix::DEFAULT, v));
-        for i in 0..prefix.len() {
-            let Some(next) = node.kids[IpPrefix::bit(prefix.bits(), i)].as_deref() else {
-                break;
-            };
-            node = next;
-            if let Some(v) = node.value.as_ref() {
-                best = Some((IpPrefix::new(prefix.bits(), i + 1), v));
-            }
-        }
-        best
-    }
-
-    /// All stored prefixes covered by `prefix` (including `prefix` itself
-    /// when stored), in trie (address) order. This is the burst-teardown
-    /// query: "every announced prefix inside the failed block".
-    pub fn covered_by(&self, prefix: IpPrefix) -> Vec<(IpPrefix, &T)> {
-        let mut node = &self.root;
-        for i in 0..prefix.len() {
-            let Some(next) = node.kids[IpPrefix::bit(prefix.bits(), i)].as_deref() else {
-                return Vec::new();
-            };
-            node = next;
-        }
-        let mut out = Vec::new();
-        fn walk<'a, T>(
-            node: &'a TrieNode<T>,
-            bits: u32,
-            depth: u8,
-            out: &mut Vec<(IpPrefix, &'a T)>,
-        ) {
-            if let Some(v) = node.value.as_ref() {
-                out.push((IpPrefix::new(bits, depth), v));
-            }
-            for (b, kid) in node.kids.iter().enumerate() {
-                if let Some(kid) = kid {
-                    let bits = if b == 1 {
-                        bits | (1u32 << (31 - depth as u32))
-                    } else {
-                        bits
-                    };
-                    walk(kid, bits, depth + 1, out);
-                }
-            }
-        }
-        walk(node, prefix.bits(), prefix.len(), &mut out);
-        out
-    }
-
-    /// Iterates every stored `(prefix, value)` in address order.
-    pub fn iter(&self) -> Vec<(IpPrefix, &T)> {
-        self.covered_by(IpPrefix::DEFAULT)
-    }
-}
-
-impl<T: PartialEq> IpTrie<T> {
-    /// One aggregation sweep: wherever two sibling *leaf* prefixes carry
-    /// equal values and their parent holds none, replace the pair with the
-    /// parent (CIDR aggregation). Returns the number of merges; call until
-    /// it returns 0 for a fixed point.
-    pub fn aggregate_once(&mut self) -> usize
-    where
-        T: Clone,
-    {
-        fn rec<T: PartialEq + Clone>(node: &mut TrieNode<T>, merges: &mut usize) {
-            for kid in node.kids.iter_mut().flatten() {
-                rec(kid, merges);
-            }
-            let mergeable = match (&node.value, &node.kids[0], &node.kids[1]) {
-                (None, Some(lo), Some(hi)) => {
-                    lo.is_leaf() && hi.is_leaf() && lo.value.is_some() && lo.value == hi.value
-                }
-                _ => false,
-            };
-            if mergeable {
-                let lo = node.kids[0].take().expect("matched above");
-                node.kids[1] = None;
-                node.value = lo.value;
-                *merges += 1;
-            }
-        }
-        let mut merges = 0;
-        rec(&mut self.root, &mut merges);
-        self.len -= merges;
-        merges
-    }
-}
-
-/// The bridge between CIDR prefixes and the dense slot indices every RIB
-/// row structure is keyed by.
-///
-/// Slots are assigned in interning order and are **never reused or
-/// renumbered**: removing a prefix from the announced set leaves its slot
-/// allocated (the trie entry is dropped; the reverse map keeps the name).
-/// That is the invariant the compact RIBs depend on — a `Prefix` handed
-/// out once stays a valid row index for the lifetime of the table.
-#[derive(Clone, Debug, Default)]
-pub struct PrefixTable {
-    trie: IpTrie<Prefix>,
-    slots: Vec<IpPrefix>,
-}
-
-impl PrefixTable {
-    /// An empty table.
-    pub fn new() -> PrefixTable {
-        PrefixTable::default()
-    }
-
-    /// Interns `prefix`, returning its stable slot. Idempotent: interning
-    /// an already-known prefix returns the existing slot.
-    pub fn intern(&mut self, prefix: IpPrefix) -> Prefix {
-        if let Some(&slot) = self.trie.get(prefix) {
-            return slot;
-        }
-        let slot = Prefix::new(self.slots.len() as u32);
-        self.trie.insert(prefix, slot);
-        self.slots.push(prefix);
-        slot
-    }
-
-    /// The slot of an interned prefix.
-    pub fn slot(&self, prefix: IpPrefix) -> Option<Prefix> {
-        self.trie.get(prefix).copied()
-    }
-
-    /// The CIDR prefix behind a slot (slots outlive trie membership).
-    pub fn ip_of(&self, slot: Prefix) -> Option<IpPrefix> {
-        self.slots.get(slot.index()).copied()
-    }
-
-    /// Longest-prefix-match an address to a slot.
-    pub fn lookup(&self, addr: u32) -> Option<Prefix> {
-        self.trie.lookup(addr).map(|(_, &slot)| slot)
-    }
-
-    /// Every interned slot whose prefix falls inside `block` — the
-    /// burst-withdrawal query.
-    pub fn slots_within(&self, block: IpPrefix) -> Vec<Prefix> {
-        self.trie
-            .covered_by(block)
-            .into_iter()
-            .map(|(_, &slot)| slot)
-            .collect()
-    }
-
-    /// Interns both halves of `prefix` (deaggregation), returning the two
-    /// slots. `None` at /32.
-    pub fn deaggregate(&mut self, prefix: IpPrefix) -> Option<[Prefix; 2]> {
-        let (lo, hi) = prefix.halves()?;
-        Some([self.intern(lo), self.intern(hi)])
-    }
-
-    /// Number of slots ever allocated (== the dense table size).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether no slot was ever allocated.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Read access to the underlying trie.
-    pub fn trie(&self) -> &IpTrie<Prefix> {
-        &self.trie
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn p(s: &str) -> IpPrefix {
-        s.parse().expect("test prefix")
-    }
-
     #[test]
-    fn display_parse_round_trip() {
-        for s in ["0.0.0.0/0", "10.0.0.0/8", "192.168.4.128/25", "1.2.3.4/32"] {
-            assert_eq!(p(s).to_string(), s);
-        }
-        // Host bits are masked to canonical form.
-        assert_eq!(p("10.0.0.7/8").to_string(), "10.0.0.0/8");
-        assert!("10.0.0.0".parse::<IpPrefix>().is_err());
-        assert!("10.0.0.0/33".parse::<IpPrefix>().is_err());
-        assert!("10.0.0/8".parse::<IpPrefix>().is_err());
-        assert!("10.0.0.0.0/8".parse::<IpPrefix>().is_err());
-    }
-
-    #[test]
-    fn covers_and_contains() {
-        let eight = p("10.0.0.0/8");
-        assert!(eight.contains(u32::from_be_bytes([10, 200, 3, 4])));
-        assert!(!eight.contains(u32::from_be_bytes([11, 0, 0, 0])));
-        assert!(eight.covers(p("10.4.0.0/16")));
-        assert!(eight.covers(eight));
-        assert!(!p("10.4.0.0/16").covers(eight));
-        assert!(IpPrefix::DEFAULT.covers(eight));
-    }
-
-    #[test]
-    fn parent_sibling_halves() {
-        let lo = p("10.0.0.0/9");
-        let hi = p("10.128.0.0/9");
-        assert_eq!(p("10.0.0.0/8").halves(), Some((lo, hi)));
-        assert_eq!(lo.sibling(), Some(hi));
-        assert_eq!(hi.sibling(), Some(lo));
-        assert_eq!(lo.parent(), Some(p("10.0.0.0/8")));
-        assert_eq!(IpPrefix::DEFAULT.parent(), None);
-        assert_eq!(p("1.2.3.4/32").halves(), None);
-    }
-
-    #[test]
-    fn insert_get_remove() {
-        let mut t: IpTrie<u32> = IpTrie::new();
-        assert_eq!(t.insert(p("10.0.0.0/8"), 1), None);
-        assert_eq!(t.insert(p("10.4.0.0/16"), 2), None);
-        assert_eq!(t.insert(p("10.0.0.0/8"), 3), Some(1));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.get(p("10.0.0.0/8")), Some(&3));
-        assert_eq!(t.get(p("10.0.0.0/9")), None, "no aggregation on get");
-        assert_eq!(t.remove(p("10.0.0.0/8")), Some(3));
-        assert_eq!(t.remove(p("10.0.0.0/8")), None);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(p("10.4.0.0/16")), Some(&2));
-    }
-
-    #[test]
-    fn lpm_prefers_most_specific() {
-        let mut t: IpTrie<&str> = IpTrie::new();
-        t.insert(IpPrefix::DEFAULT, "default");
-        t.insert(p("10.0.0.0/8"), "eight");
-        t.insert(p("10.4.0.0/16"), "sixteen");
-        let addr = u32::from_be_bytes([10, 4, 9, 9]);
-        assert_eq!(t.lookup(addr), Some((p("10.4.0.0/16"), &"sixteen")));
-        let addr = u32::from_be_bytes([10, 9, 9, 9]);
-        assert_eq!(t.lookup(addr), Some((p("10.0.0.0/8"), &"eight")));
-        let addr = u32::from_be_bytes([11, 0, 0, 1]);
-        assert_eq!(t.lookup(addr), Some((IpPrefix::DEFAULT, &"default")));
-        assert_eq!(
-            t.lookup_covering(p("10.4.0.0/24")),
-            Some((p("10.4.0.0/16"), &"sixteen"))
-        );
-        assert_eq!(
-            t.lookup_covering(p("10.4.0.0/16")),
-            Some((p("10.4.0.0/16"), &"sixteen")),
-            "a stored prefix covers itself"
-        );
-    }
-
-    #[test]
-    fn covered_by_enumerates_the_block() {
-        let mut t: IpTrie<u32> = IpTrie::new();
-        for (i, s) in ["10.0.0.0/24", "10.0.1.0/24", "10.1.0.0/16", "11.0.0.0/8"]
-            .iter()
-            .enumerate()
-        {
-            t.insert(p(s), i as u32);
-        }
-        let inside: Vec<IpPrefix> = t
-            .covered_by(p("10.0.0.0/8"))
-            .into_iter()
-            .map(|(q, _)| q)
-            .collect();
-        assert_eq!(
-            inside,
-            vec![p("10.0.0.0/24"), p("10.0.1.0/24"), p("10.1.0.0/16")]
-        );
-        assert!(t.covered_by(p("12.0.0.0/8")).is_empty());
-    }
-
-    #[test]
-    fn aggregation_merges_equal_sibling_leaves() {
-        let mut t: IpTrie<u32> = IpTrie::new();
-        t.insert(p("10.0.0.0/9"), 7);
-        t.insert(p("10.128.0.0/9"), 7);
-        t.insert(p("11.0.0.0/9"), 7);
-        t.insert(p("11.128.0.0/9"), 8); // different value: must not merge
-        assert_eq!(t.aggregate_once(), 1);
-        assert_eq!(t.get(p("10.0.0.0/8")), Some(&7));
-        assert_eq!(t.get(p("10.0.0.0/9")), None);
-        assert_eq!(t.get(p("11.0.0.0/9")), Some(&7));
-        assert_eq!(t.aggregate_once(), 0, "fixed point");
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn aggregation_cascades_to_fixed_point() {
-        let mut t: IpTrie<u32> = IpTrie::new();
-        // Four /10s with one value collapse to one /8 over two sweeps.
-        for s in [
-            "10.0.0.0/10",
-            "10.64.0.0/10",
-            "10.128.0.0/10",
-            "10.192.0.0/10",
-        ] {
-            t.insert(p(s), 1);
-        }
-        let mut total = 0;
-        loop {
-            let m = t.aggregate_once();
-            if m == 0 {
-                break;
-            }
-            total += m;
-        }
-        assert_eq!(total, 3);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(p("10.0.0.0/8")), Some(&1));
-    }
-
-    #[test]
-    fn prefix_table_slots_are_stable_and_insertion_ordered() {
-        let mut table = PrefixTable::new();
-        let a = table.intern(p("10.0.0.0/24"));
-        let b = table.intern(p("10.0.1.0/24"));
-        assert_eq!((a.index(), b.index()), (0, 1), "interning order");
-        assert_eq!(table.intern(p("10.0.0.0/24")), a, "idempotent");
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.ip_of(a), Some(p("10.0.0.0/24")));
-        assert_eq!(table.lookup(u32::from_be_bytes([10, 0, 1, 9])), Some(b));
-        let halves = table.deaggregate(p("10.0.0.0/24")).expect("not a /32");
-        assert_eq!((halves[0].index(), halves[1].index()), (2, 3));
-        assert_eq!(table.ip_of(halves[1]), Some(p("10.0.0.128/25")));
-        // LPM on an address inside the deaggregated half now prefers it.
-        assert_eq!(
-            table.lookup(u32::from_be_bytes([10, 0, 0, 200])),
-            Some(halves[1])
-        );
-        let within: Vec<usize> = table
-            .slots_within(p("10.0.0.0/23"))
-            .into_iter()
-            .map(Prefix::index)
-            .collect();
-        assert_eq!(within, vec![0, 2, 3, 1], "address order within the block");
-    }
-
-    mod differential {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// The naive reference: linear scan for the longest stored prefix
-        /// containing the address.
-        fn lpm_linear(set: &[(IpPrefix, u32)], addr: u32) -> Option<(IpPrefix, u32)> {
-            set.iter()
-                .filter(|(q, _)| q.contains(addr))
-                .max_by_key(|(q, _)| q.len())
-                .copied()
-        }
-
-        fn arb_prefix() -> impl Strategy<Value = IpPrefix> {
-            (any::<u32>(), 0u8..=32).prop_map(|(bits, len)| IpPrefix::new(bits, len))
-        }
-
-        proptest! {
-            #[test]
-            fn trie_lpm_matches_linear_scan(
-                entries in proptest::collection::vec((arb_prefix(), any::<u32>()), 0..64),
-                addrs in proptest::collection::vec(any::<u32>(), 1..32),
-            ) {
-                let mut t: IpTrie<u32> = IpTrie::new();
-                // Last write wins in both models.
-                let mut dedup: Vec<(IpPrefix, u32)> = Vec::new();
-                for &(q, v) in &entries {
-                    t.insert(q, v);
-                    dedup.retain(|(r, _)| *r != q);
-                    dedup.push((q, v));
-                }
-                prop_assert_eq!(t.len(), dedup.len());
-                for &addr in &addrs {
-                    let got = t.lookup(addr).map(|(q, &v)| (q, v));
-                    let want = lpm_linear(&dedup, addr);
-                    // Equal-length winners are unique (one prefix of a
-                    // given length contains an address), so plain
-                    // comparison is sound.
-                    prop_assert_eq!(got, want, "addr {:#010x}", addr);
-                }
-            }
-
-            #[test]
-            fn trie_lpm_matches_linear_scan_after_removals(
-                entries in proptest::collection::vec((arb_prefix(), any::<u32>()), 1..48),
-                remove_mask in proptest::collection::vec(any::<bool>(), 1..48),
-                addrs in proptest::collection::vec(any::<u32>(), 1..16),
-            ) {
-                let mut t: IpTrie<u32> = IpTrie::new();
-                let mut dedup: Vec<(IpPrefix, u32)> = Vec::new();
-                for &(q, v) in &entries {
-                    t.insert(q, v);
-                    dedup.retain(|(r, _)| *r != q);
-                    dedup.push((q, v));
-                }
-                for (i, &(q, _)) in entries.iter().enumerate() {
-                    if *remove_mask.get(i).unwrap_or(&false) {
-                        t.remove(q);
-                        dedup.retain(|(r, _)| *r != q);
-                    }
-                }
-                prop_assert_eq!(t.len(), dedup.len());
-                for &addr in &addrs {
-                    let got = t.lookup(addr).map(|(q, &v)| (q, v));
-                    prop_assert_eq!(got, lpm_linear(&dedup, addr), "addr {:#010x}", addr);
-                }
-            }
-        }
+    fn display_is_dotted_quad_and_masks_host_bits() {
+        let ten = u32::from_be_bytes([10, 0, 0, 7]);
+        assert_eq!(IpPrefix::new(ten, 32).to_string(), "10.0.0.7/32");
+        assert_eq!(IpPrefix::new(ten, 8).to_string(), "10.0.0.0/8");
+        assert_eq!(IpPrefix::new(ten, 0).to_string(), "0.0.0.0/0");
+        let p = IpPrefix::new(u32::from_be_bytes([192, 168, 4, 200]), 25);
+        assert_eq!(p.to_string(), "192.168.4.128/25");
+        assert_eq!((p.bits(), p.len()), (0xC0A8_0480, 25));
     }
 }

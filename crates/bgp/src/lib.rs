@@ -8,10 +8,8 @@
 //!   withdraw).
 //! * [`path`] — AS paths with loop detection and prepending.
 //! * [`rib`] — Adj-RIB-In, Loc-RIB and Adj-RIB-Out.
-//! * [`iptrie`] — IPv4 CIDR prefixes, a longest-prefix-match binary trie
-//!   with aggregation/deaggregation, and the [`iptrie::PrefixTable`] that
-//!   interns CIDR prefixes into the stable dense slot indices the RIBs
-//!   are keyed by (full-table workloads).
+//! * [`iptrie`] — the IPv4 CIDR prefix ([`IpPrefix`]) that names a dense
+//!   prefix slot in full-table output.
 //! * [`decision`] — best-path selection: shortest AS path, eBGP over iBGP,
 //!   lowest peer id (the paper uses path length as the only criterion and
 //!   no routing policies, §3.2).
@@ -61,7 +59,7 @@ pub mod stats;
 pub mod trace;
 
 pub use config::{NodeConfig, NodeConfigBuilder};
-pub use iptrie::{IpPrefix, IpTrie, PrefixTable};
+pub use iptrie::IpPrefix;
 pub use msg::{Prefix, UpdateAction, UpdateMsg};
 pub use node::{Action, BgpNode};
 pub use path::AsPath;

@@ -29,9 +29,9 @@ use crate::msg::{Prefix, UpdateAction, UpdateMsg};
 use crate::path::AsPath;
 use crate::policy::{may_export, PolicyMode, Relationship, RANK_PEER};
 use crate::queue::{InputQueue, WorkItem};
-#[cfg(any(test, feature = "dense-rib"))]
+#[cfg(test)]
 use crate::rib::DenseAdjRibOut;
-use crate::rib::{AdjRibOut, EngineRibIn, LocRib, NextHop, RouteEntry, Selected};
+use crate::rib::{AdjRibIn, AdjRibOut, LocRib, NextHop, RouteEntry, Selected};
 use crate::stats::NodeStats;
 use crate::trace::NodeEvent;
 
@@ -92,10 +92,10 @@ struct PeerSession {
     timer: MraiTimer,
     dest_timers: BTreeMap<Prefix, MraiTimer>,
     rib_out: AdjRibOut,
-    /// Dense materialized mirror of what was actually sent, asserted
-    /// against every frozen value the delta representation reports —
-    /// the engine-level half of the dense-vs-compact equivalence proof.
-    #[cfg(any(test, feature = "dense-rib"))]
+    /// Dense materialized mirror of what was actually sent, asserted (in
+    /// this crate's unit tests) against every frozen value the delta
+    /// representation reports.
+    #[cfg(test)]
     shadow_out: DenseAdjRibOut,
 }
 
@@ -107,7 +107,7 @@ impl PeerSession {
             timer: MraiTimer::new(),
             dest_timers: BTreeMap::new(),
             rib_out: AdjRibOut::new(),
-            #[cfg(any(test, feature = "dense-rib"))]
+            #[cfg(test)]
             shadow_out: DenseAdjRibOut::new(),
         }
     }
@@ -227,7 +227,7 @@ pub struct BgpNode {
     as_id: AsId,
     own_prefixes: BTreeSet<Prefix>,
     peers: PeerTable,
-    rib_in: EngineRibIn,
+    rib_in: AdjRibIn,
     loc_rib: LocRib,
     queue: InputQueue,
     in_service: Vec<WorkItem>,
@@ -318,7 +318,7 @@ impl BgpNode {
             as_id,
             own_prefixes: BTreeSet::new(),
             peers: PeerTable::default(),
-            rib_in: EngineRibIn::new(),
+            rib_in: AdjRibIn::new(),
             loc_rib: LocRib::new(),
             queue,
             in_service: Vec::new(),
@@ -372,7 +372,7 @@ impl BgpNode {
     }
 
     /// Read access to the Adj-RIB-In.
-    pub fn rib_in(&self) -> &EngineRibIn {
+    pub fn rib_in(&self) -> &AdjRibIn {
         &self.rib_in
     }
 
@@ -1230,7 +1230,7 @@ impl BgpNode {
         for (prefix, frozen) in entries {
             let advertised =
                 BgpNode::export_route(loc_rib, cfg, cache, as_id, ibgp, rel, peer, prefix);
-            #[cfg(any(test, feature = "dense-rib"))]
+            #[cfg(test)]
             assert_eq!(
                 frozen.as_ref(),
                 sess.shadow_out.get(prefix),
@@ -1241,7 +1241,7 @@ impl BgpNode {
                     // Redundant: what we'd send equals what they have.
                 }
                 (Some((path, pref)), _) => {
-                    #[cfg(any(test, feature = "dense-rib"))]
+                    #[cfg(test)]
                     sess.shadow_out.advertise(prefix, path.clone());
                     self.stats.announcements_sent += 1;
                     sent_advert = true;
@@ -1260,7 +1260,7 @@ impl BgpNode {
                     out.push(Action::Send { to: peer, msg });
                 }
                 (None, Some(_)) => {
-                    #[cfg(any(test, feature = "dense-rib"))]
+                    #[cfg(test)]
                     sess.shadow_out.withdraw(prefix);
                     self.stats.withdrawals_sent += 1;
                     sent_any = true;

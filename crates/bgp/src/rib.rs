@@ -5,11 +5,10 @@
 //! not by the peers ever seen — and the Adj-RIB-Out is *delta-encoded*
 //! against the Loc-RIB: a converged session stores nothing at all, because
 //! everything it last advertised mirrors the node's current export. The
-//! previous dense representations ([`DenseAdjRibIn`], [`DenseAdjRibOut`])
-//! are kept behind the test-only `dense-rib` feature so equivalence
-//! property tests can drive both layouts through identical histories, and
-//! so the whole engine can be rebuilt on the old layout
-//! (`--features dense-rib`) and checked bit-identical against the goldens.
+//! previous dense representations (`DenseAdjRibIn`, `DenseAdjRibOut`) are
+//! kept in test builds only, as the reference the equivalence property
+//! tests drive through identical histories and the node's shadow
+//! Adj-RIB-Out asserts against.
 
 use std::collections::BTreeMap;
 
@@ -262,20 +261,6 @@ impl Deserialize for AdjRibIn {
     }
 }
 
-/// The Adj-RIB-In representation the engine runs on: the compact
-/// [`AdjRibIn`] normally, the pre-compact [`DenseAdjRibIn`] when the
-/// `dense-rib` equivalence feature is active. Both expose the same API and
-/// the same deterministic candidate order, so the whole engine (and every
-/// golden output) must be bit-identical under either — that is what the
-/// feature exists to check.
-#[cfg(not(feature = "dense-rib"))]
-pub type EngineRibIn = AdjRibIn;
-
-/// The Adj-RIB-In representation the engine runs on (`dense-rib` build:
-/// the pre-compact dense layout, for equivalence runs).
-#[cfg(feature = "dense-rib")]
-pub type EngineRibIn = DenseAdjRibIn;
-
 /// Loc-RIB: the best route per prefix.
 ///
 /// Dense: prefix ids index the table directly. The decision process reads
@@ -487,11 +472,9 @@ impl AdjRibOut {
 }
 
 /// The dense slot-indexed Adj-RIB-In this engine used before the compact
-/// sorted-row layout — kept (test-only) so equivalence property tests can
-/// drive both representations through identical histories, and so the
-/// whole engine can be rebuilt on it (`--features dense-rib`) and checked
-/// against the goldens.
-#[cfg(any(test, feature = "dense-rib"))]
+/// sorted-row layout — kept in test builds so equivalence property tests
+/// can drive both representations through identical histories.
+#[cfg(test)]
 #[derive(Clone, Debug, Default)]
 pub struct DenseAdjRibIn {
     /// `(peer, column)` directory, sorted by peer id. Columns are assigned
@@ -504,7 +487,7 @@ pub struct DenseAdjRibIn {
     len: usize,
 }
 
-#[cfg(any(test, feature = "dense-rib"))]
+#[cfg(test)]
 impl DenseAdjRibIn {
     /// Creates an empty dense Adj-RIB-In.
     pub fn new() -> DenseAdjRibIn {
@@ -606,25 +589,9 @@ impl DenseAdjRibIn {
     }
 
     /// Total number of stored routes.
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether no routes are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Heap bytes committed to route storage (capacity) — the dense
-    /// layout's column for the memory comparison.
-    pub fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<(RouterId, usize)>()
-            + self.rows.capacity() * std::mem::size_of::<Vec<Option<RouteEntry>>>()
-            + self
-                .rows
-                .iter()
-                .map(|row| row.capacity() * std::mem::size_of::<Option<RouteEntry>>())
-                .sum::<usize>()
     }
 
     fn as_map(&self) -> BTreeMap<Prefix, BTreeMap<RouterId, &RouteEntry>> {
@@ -642,62 +609,27 @@ impl DenseAdjRibIn {
     }
 }
 
-#[cfg(any(test, feature = "dense-rib"))]
-impl PartialEq for DenseAdjRibIn {
-    fn eq(&self, other: &DenseAdjRibIn) -> bool {
-        self.len == other.len && self.as_map() == other.as_map()
-    }
-}
-
-#[cfg(any(test, feature = "dense-rib"))]
-impl Eq for DenseAdjRibIn {}
-
 // Same wire shape as the compact [`AdjRibIn`] (and the pre-dense nested
 // maps), so serialized forms compare across representations.
-#[cfg(any(test, feature = "dense-rib"))]
+#[cfg(test)]
 impl Serialize for DenseAdjRibIn {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![(String::from("routes"), self.as_map().to_value())])
     }
 }
 
-#[cfg(any(test, feature = "dense-rib"))]
-impl Deserialize for DenseAdjRibIn {
-    fn from_value(v: &serde::Value) -> Result<DenseAdjRibIn, serde::Error> {
-        let serde::Value::Object(fields) = v else {
-            return Err(serde::Error(format!(
-                "DenseAdjRibIn: expected object, found {}",
-                v.kind()
-            )));
-        };
-        let routes = fields
-            .iter()
-            .find(|(k, _)| k == "routes")
-            .map(|(_, v)| v)
-            .ok_or_else(|| serde::Error(String::from("DenseAdjRibIn: missing field `routes`")))?;
-        let map = BTreeMap::<Prefix, BTreeMap<RouterId, RouteEntry>>::from_value(routes)?;
-        let mut rib = DenseAdjRibIn::new();
-        for (prefix, peers) in map {
-            for (peer, entry) in peers {
-                rib.insert(prefix, peer, entry);
-            }
-        }
-        Ok(rib)
-    }
-}
-
 /// The dense materialized Adj-RIB-Out this engine used before the
 /// delta-encoded [`AdjRibOut`]: a prefix-indexed table of exactly what was
-/// last advertised. Kept (test-only) as the reference model the delta
+/// last advertised. Kept in test builds as the reference model the delta
 /// representation's shadow assertions and equivalence tests check against.
-#[cfg(any(test, feature = "dense-rib"))]
+#[cfg(test)]
 #[derive(Clone, Debug, Default)]
 pub struct DenseAdjRibOut {
     advertised: Vec<Option<AsPath>>,
     len: usize,
 }
 
-#[cfg(any(test, feature = "dense-rib"))]
+#[cfg(test)]
 impl DenseAdjRibOut {
     /// Creates an empty dense Adj-RIB-Out.
     pub fn new() -> DenseAdjRibOut {
@@ -733,34 +665,11 @@ impl DenseAdjRibOut {
         withdrawn
     }
 
-    /// Iterates over `(prefix, path)` in increasing prefix order.
-    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &AsPath)> {
-        self.advertised
-            .iter()
-            .enumerate()
-            .filter_map(|(index, p)| Some((Prefix::new(index as u32), p.as_ref()?)))
-    }
-
-    /// Number of currently advertised prefixes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// Whether nothing is advertised.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 }
-
-#[cfg(any(test, feature = "dense-rib"))]
-impl PartialEq for DenseAdjRibOut {
-    fn eq(&self, other: &DenseAdjRibOut) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
-    }
-}
-
-#[cfg(any(test, feature = "dense-rib"))]
-impl Eq for DenseAdjRibOut {}
 
 #[cfg(test)]
 mod tests {
@@ -920,9 +829,8 @@ mod tests {
     // Drive both Adj-RIB-In representations through identical operation
     // histories and require them indistinguishable through every read API
     // (get, candidates incl. order, prefixes_via, remove_peer reports,
-    // len, serialized form). This is the representation half of the
-    // engine-level equivalence run (`cargo test --features dense-rib`
-    // rebuilds the whole engine on the dense layout against the goldens).
+    // len, serialized form). The engine-level half is the node's shadow
+    // Adj-RIB-Out and the pinned digests in tests/rib_equivalence.rs.
 
     #[derive(Clone, Debug)]
     enum Op {

@@ -10,7 +10,7 @@
 //! work) and asserts they install exactly the same route at every step.
 
 use bgpsim_bgp::decision::{select_best, select_incremental, Incremental};
-use bgpsim_bgp::rib::{EngineRibIn, RouteEntry, Selected};
+use bgpsim_bgp::rib::{AdjRibIn, RouteEntry, Selected};
 use bgpsim_bgp::{AsPath, Prefix};
 use bgpsim_topology::{AsId, RouterId};
 use proptest::prelude::*;
@@ -30,7 +30,7 @@ proptest! {
         ops in prop::collection::vec(((0u32..6, 0u32..4), (0usize..5, 0u32..16)), 1..60)
     ) {
         let prefix = Prefix::new(0);
-        let mut rib = EngineRibIn::new();
+        let mut rib = AdjRibIn::new();
         // What the incremental process currently has installed.
         let mut installed: Option<Selected> = None;
         // Peers mutated since the last decision.
@@ -77,7 +77,7 @@ proptest! {
         ops in prop::collection::vec(((0u32..4, 0u32..3), (0usize..4, 0u32..16)), 1..40)
     ) {
         let prefix = Prefix::new(0);
-        let mut rib = EngineRibIn::new();
+        let mut rib = AdjRibIn::new();
         let mut installed: Option<Selected> = None;
         // Every decision lists *all* peers as changed — maximal
         // over-listing, which must degrade to a correct full compare.

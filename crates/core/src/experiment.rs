@@ -5,7 +5,7 @@
 //! a fresh topology and RNG streams from `(base_seed, trial)`, runs the
 //! full pipeline (initial convergence → failure → re-convergence) and the
 //! results are aggregated. [`run_all_parallel`] fans a batch of experiment
-//! points out over worker threads (crossbeam scoped threads — trials are
+//! points out over worker threads (scoped threads — trials are
 //! independent).
 
 use bgpsim_des::RngStreams;
@@ -13,7 +13,7 @@ use bgpsim_topology::degree::{DegreeSpec, SkewedSpec};
 use bgpsim_topology::generators::{hierarchical, topology_from_spec, HierarchicalParams};
 use bgpsim_topology::multias::{generate_multi_as, MultiAsConfig};
 use bgpsim_topology::region::FailureSpec;
-use bgpsim_topology::Topology;
+use bgpsim_topology::{Topology, TopologyError};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -104,27 +104,29 @@ impl TopologySpec {
         TopologySpec::Hierarchical(HierarchicalParams::three_tier(n))
     }
 
+    /// Generates one topology sample, or the generator's error when this
+    /// draw cannot realise the spec (too few nodes for the degree
+    /// distribution, say — the smallest workable size depends on the
+    /// family and the seed).
+    pub fn try_generate(&self, rng: &mut impl Rng) -> Result<Topology, TopologyError> {
+        match self {
+            TopologySpec::Skewed { n, spec } => {
+                topology_from_spec(*n, &DegreeSpec::Skewed(spec.clone()), rng)
+            }
+            TopologySpec::FromDegrees { n, spec } => topology_from_spec(*n, spec, rng),
+            TopologySpec::MultiAs(cfg) => generate_multi_as(cfg, rng),
+            TopologySpec::Hierarchical(params) => hierarchical(params, rng),
+        }
+    }
+
     /// Generates one topology sample.
     ///
     /// # Panics
     ///
-    /// Panics if generation fails repeatedly (pathological specs).
+    /// Panics if [`try_generate`](TopologySpec::try_generate) fails.
     pub fn generate(&self, rng: &mut impl Rng) -> Topology {
-        match self {
-            TopologySpec::Skewed { n, spec } => {
-                topology_from_spec(*n, &DegreeSpec::Skewed(spec.clone()), rng)
-                    .expect("skewed topology generation failed")
-            }
-            TopologySpec::FromDegrees { n, spec } => {
-                topology_from_spec(*n, spec, rng).expect("topology generation failed")
-            }
-            TopologySpec::MultiAs(cfg) => {
-                generate_multi_as(cfg, rng).expect("multi-AS topology generation failed")
-            }
-            TopologySpec::Hierarchical(params) => {
-                hierarchical(params, rng).expect("hierarchical topology generation failed")
-            }
-        }
+        self.try_generate(rng)
+            .unwrap_or_else(|e| panic!("topology generation failed: {e}"))
     }
 }
 
@@ -212,12 +214,22 @@ impl Experiment {
         }
     }
 
+    /// The topology trial `trial` runs on, drawn from its own seeded
+    /// stream. A caller can check every trial's draw this way before
+    /// running anything.
+    pub fn trial_topology(&self, trial: u32) -> Result<Topology, TopologyError> {
+        let streams = RngStreams::new(self.base_seed);
+        self.topology
+            .try_generate(&mut streams.stream("topology", u64::from(trial)))
+    }
+
     /// Builds the trial's network (topology sampled, config applied) but
     /// runs nothing yet.
     fn build_network(&self, trial: u32) -> Network {
+        let topo = self
+            .trial_topology(trial)
+            .unwrap_or_else(|e| panic!("topology generation failed: {e}"));
         let streams = RngStreams::new(self.base_seed);
-        let mut topo_rng = streams.stream("topology", u64::from(trial));
-        let topo = self.topology.generate(&mut topo_rng);
         let sim_seed: u64 = streams.stream("sim-seed", u64::from(trial)).gen();
         let mut cfg = SimConfig::from_scheme(&self.scheme, sim_seed);
         if let TopologySpec::Hierarchical(params) = &self.topology {
@@ -376,9 +388,9 @@ fn run_all_parallel_inner(
     // never pay a per-trial thread-pool setup. Concurrent pumps open
     // concurrent scopes on that shared pool; its helping barrier keeps
     // them from starving each other even when workers < pumps.
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let Some(&(point_idx, trial)) = tasks.get(i) else {
                     break;
@@ -393,8 +405,7 @@ fn run_all_parallel_inner(
                     Some((stats, wall_secs));
             });
         }
-    })
-    .expect("experiment worker panicked");
+    });
 
     let mut timings = Vec::with_capacity(tasks.len());
     let aggregates = results

@@ -82,10 +82,11 @@ pub enum DetectionMode {
 /// Simulation-wide configuration.
 /// Full-table workload: instead of the flat `prefixes_per_as` allocation
 /// (every AS originates exactly `k` prefixes), the table is a power-law-
-/// skewed per-AS block plan behind the IP-prefix layer
-/// ([`bgpsim_bgp::iptrie`]): a few ASes originate thousands of prefixes,
-/// the long tail one or two, totalling `total_prefixes` network-wide —
-/// the §5 "200,000 destinations" observation made a real workload.
+/// skewed per-AS block plan
+/// ([`PrefixPlan`](bgpsim_topology::prefixes::PrefixPlan)): a few ASes
+/// originate thousands of prefixes, the long tail one or two, totalling
+/// `total_prefixes` network-wide — the §5 "200,000 destinations"
+/// observation made a real workload.
 ///
 /// The plan is a pure function of `(as_count, total_prefixes, skew)` — no
 /// RNG stream is touched — so full-table runs stay bit-reproducible and
@@ -125,8 +126,8 @@ pub struct SimConfig {
     /// §5 "200,000 destinations" observation).
     pub prefixes_per_as: usize,
     /// Full-table workload plan. When set it supersedes `prefixes_per_as`:
-    /// prefix blocks are carved per AS from the power-law plan and interned
-    /// through the longest-prefix-match trie (see [`FullTableSpec`]).
+    /// prefix blocks are sized per AS by the power-law plan (see
+    /// [`FullTableSpec`]).
     pub full_table: Option<FullTableSpec>,
     /// Prefix originations are spread uniformly over this window at t = 0.
     pub origination_window: SimDuration,
@@ -515,7 +516,7 @@ fn as_tiers(topo: &Topology) -> Vec<usize> {
     // clique in hierarchical topologies, the densest hub cluster elsewhere.
     // When the whole graph is one core (no density differentiation, e.g. a
     // path), fall back to the maximum-degree set.
-    let core = as_core_numbers(&adj);
+    let core = bgpsim_topology::metrics::core_numbers(&adj);
     let max_core = core.iter().copied().max().unwrap_or(0);
     let mut tier0: Vec<usize> = (0..num_ases).filter(|&a| core[a] == max_core).collect();
     if tier0.len() == num_ases {
@@ -603,29 +604,6 @@ fn build_node_config(cfg: &SimConfig, topo: &Topology, r: RouterId) -> NodeConfi
     }
 }
 
-/// K-core numbers of the AS-level graph (peeling with running max).
-fn as_core_numbers(adj: &[Vec<usize>]) -> Vec<usize> {
-    let n = adj.len();
-    let mut degree: Vec<usize> = adj.iter().map(Vec::len).collect();
-    let mut removed = vec![false; n];
-    let mut core = vec![0usize; n];
-    let mut max_peel = 0usize;
-    for _ in 0..n {
-        let Some(u) = (0..n).filter(|&i| !removed[i]).min_by_key(|&i| degree[i]) else {
-            break;
-        };
-        max_peel = max_peel.max(degree[u]);
-        core[u] = max_peel;
-        removed[u] = true;
-        for &v in &adj[u] {
-            if !removed[v] {
-                degree[v] = degree[v].saturating_sub(1);
-            }
-        }
-    }
-    core
-}
-
 /// Routing-state memory accounting for a whole network, as reported by
 /// [`Network::memory_footprint`]. All byte counts are *heap held by the
 /// routing state* (Adj-RIBs-In, Loc-RIBs, delta Adj-RIBs-Out, per-peer
@@ -704,13 +682,9 @@ pub struct Network {
     /// Session peers per router (eBGP link neighbors + iBGP full mesh).
     pub(crate) sessions: Vec<Vec<RouterId>>,
     /// Router that originates each prefix, indexed by the prefix's dense
-    /// slot (slots are handed out by `prefix_table` in allocation order;
-    /// for the default flat workload slot == `as_index · k + j`).
+    /// slot (slots are handed out in AS order; for the default flat
+    /// workload slot == `as_index · k + j`).
     origin_of_prefix: Vec<RouterId>,
-    /// The IP-prefix naming layer: CIDR prefix per slot, longest-prefix
-    /// match, and the burst-teardown block queries. Slots are stable for
-    /// the lifetime of the run (see `bgpsim_bgp::iptrie::PrefixTable`).
-    prefix_table: bgpsim_bgp::PrefixTable,
     /// First prefix slot of each AS (`len == num_ases + 1`): AS `a`
     /// originates the contiguous slot range `first_slot_of_as[a] ..
     /// first_slot_of_as[a + 1]`.
@@ -850,11 +824,10 @@ impl Network {
             nodes.push(Some(node));
         }
 
-        // Prefix allocation goes through the IP-prefix layer in every
-        // mode: the per-AS block plan is carved contiguously out of
-        // 10.0.0.0/8 in AS order, and interning each address into the trie
-        // hands out the dense slot the RIB rows are keyed by. The default
-        // (no `full_table`) plan is the uniform split — exactly
+        // Prefix allocation follows the per-AS block plan in every mode:
+        // each AS gets the next contiguous run of dense slots, in AS order
+        // (slot `s` is named by `ip_of_prefix`). The default (no
+        // `full_table`) plan is the uniform split — exactly
         // `prefixes_per_as` prefixes per AS, so slot == as_index · k + j,
         // byte-identical to the historical flat allocator. Every prefix is
         // originated by its AS's lowest-id member.
@@ -866,19 +839,14 @@ impl Network {
             },
             None => bgpsim_topology::prefixes::PrefixPlan::uniform((topo.num_ases() * k) as u32),
         };
-        let blocks = plan.blocks(topo.num_ases());
-        let mut prefix_table = bgpsim_bgp::PrefixTable::new();
+        let sizes = plan.block_sizes(topo.num_ases());
         let mut origin_of_prefix: Vec<RouterId> =
-            Vec::with_capacity(blocks.iter().map(|b| b.count as usize).sum());
+            Vec::with_capacity(sizes.iter().map(|&n| n as usize).sum());
         let mut first_slot_of_as: Vec<u32> = Vec::with_capacity(topo.num_ases() + 1);
-        for (a, block) in topo.as_ids().zip(&blocks) {
+        for (a, &count) in topo.as_ids().zip(&sizes) {
             let origin = *topo.as_members(a).first().expect("AS has members");
             first_slot_of_as.push(origin_of_prefix.len() as u32);
-            for j in 0..block.count {
-                let slot = prefix_table.intern(bgpsim_bgp::IpPrefix::new(block.addr(j), 32));
-                debug_assert_eq!(slot.index(), origin_of_prefix.len());
-                origin_of_prefix.push(origin);
-            }
+            origin_of_prefix.extend(std::iter::repeat_n(origin, count as usize));
         }
         first_slot_of_as.push(origin_of_prefix.len() as u32);
         debug_assert!(
@@ -900,7 +868,6 @@ impl Network {
             cfg_arena,
             sessions,
             origin_of_prefix,
-            prefix_table,
             first_slot_of_as,
             withdrawn: std::collections::BTreeSet::new(),
             last_activity: SimTime::ZERO,
@@ -1063,14 +1030,22 @@ impl Network {
                 }
             }
         }
+        self.failed_count = killed;
+        self.start_measurement(t_f);
+    }
+
+    /// Opens a new measurement window at `t`: node stats, the message
+    /// counters and the activity clock restart there, so
+    /// [`run_to_quiescence`](Network::run_to_quiescence) reports only the
+    /// activity that follows the injection at `t`.
+    fn start_measurement(&mut self, t: SimTime) {
         for node in self.nodes.iter_mut().flatten() {
             node.reset_stats();
         }
         self.announcements = 0;
         self.withdrawals = 0;
-        self.failure_time = Some(t_f);
-        self.last_activity = t_f;
-        self.failed_count = killed;
+        self.failure_time = Some(t);
+        self.last_activity = t;
         self.events_at_failure = self.sched.delivered_count();
     }
 
@@ -1157,14 +1132,13 @@ impl Network {
         self.origin_of_prefix.len()
     }
 
-    /// The CIDR prefix behind a dense slot.
+    /// The CIDR name of a dense slot: slot `s` is the /32 at address
+    /// `10.0.0.0 + s`, so each AS's contiguous slot block is a contiguous
+    /// address block. `None` past the end of the table.
     pub fn ip_of_prefix(&self, prefix: Prefix) -> Option<bgpsim_bgp::IpPrefix> {
-        self.prefix_table.ip_of(prefix)
-    }
-
-    /// The IP-prefix naming layer (longest-prefix match, block queries).
-    pub fn prefix_table(&self) -> &bgpsim_bgp::PrefixTable {
-        &self.prefix_table
+        const TABLE_BASE: u32 = 0x0A00_0000; // 10.0.0.0
+        (prefix.index() < self.table_size())
+            .then(|| bgpsim_bgp::IpPrefix::new(TABLE_BASE.wrapping_add(prefix.index() as u32), 32))
     }
 
     /// Prefixes withdrawn by burst injection and not re-originated since.
@@ -1296,14 +1270,7 @@ impl Network {
         }
 
         // Measure only post-failure activity.
-        for node in self.nodes.iter_mut().flatten() {
-            node.reset_stats();
-        }
-        self.announcements = 0;
-        self.withdrawals = 0;
-        self.failure_time = Some(t_f);
-        self.last_activity = t_f;
-        self.events_at_failure = self.sched.delivered_count();
+        self.start_measurement(t_f);
         failed
     }
 
@@ -1380,14 +1347,7 @@ impl Network {
                 },
             );
         }
-        for node in self.nodes.iter_mut().flatten() {
-            node.reset_stats();
-        }
-        self.announcements = 0;
-        self.withdrawals = 0;
-        self.failure_time = Some(t_f);
-        self.last_activity = t_f;
-        self.events_at_failure = self.sched.delivered_count();
+        self.start_measurement(t_f);
     }
 
     /// Runs until the event queue drains and reports the re-convergence.
@@ -1496,15 +1456,8 @@ impl Network {
                 }
             }
         }
-        for node in self.nodes.iter_mut().flatten() {
-            node.reset_stats();
-        }
-        self.announcements = 0;
-        self.withdrawals = 0;
-        self.failure_time = Some(t_up);
-        self.last_activity = t_up;
         self.failed_count = 0;
-        self.events_at_failure = self.sched.delivered_count();
+        self.start_measurement(t_up);
     }
 
     /// The per-node configuration (used at construction and revival).
@@ -2359,7 +2312,7 @@ mod tests {
     }
 
     #[test]
-    fn full_table_allocation_is_trie_backed_and_skewed() {
+    fn full_table_allocation_is_contiguous_and_skewed() {
         let topo = small_topo(33, 12);
         let scheme =
             crate::Scheme::constant_mrai(0.5).with_full_table(FullTableSpec::internet_like(200));
@@ -2372,14 +2325,20 @@ mod tests {
         assert_eq!(counts.iter().sum::<usize>(), 200);
         assert!(counts[0] > counts[11], "skew must concentrate: {counts:?}");
         assert!(counts.iter().all(|&c| c >= 1));
-        // Every slot resolves to a /32 in 10/8 and the trie maps it back.
-        for p_idx in 0..200u32 {
-            let prefix = Prefix::new(p_idx);
-            let ip = net.ip_of_prefix(prefix).expect("allocated slot");
-            assert_eq!(ip.len(), 32);
-            assert_eq!(ip.bits() >> 24, 10, "blocks are carved from 10.0.0.0/8");
-            assert_eq!(net.prefix_table().lookup(ip.bits()), Some(prefix));
+        // Each AS's block starts where the previous one ends.
+        let mut next = 0;
+        for (a, &count) in counts.iter().enumerate() {
+            assert_eq!(net.prefix_of_as(AsId::new(a as u32)).index(), next);
+            next += count;
         }
+        // Slot `s` is named 10.0.0.0 + s, a /32.
+        for p_idx in 0..200u32 {
+            let ip = net
+                .ip_of_prefix(Prefix::new(p_idx))
+                .expect("allocated slot");
+            assert_eq!((ip.bits(), ip.len()), (0x0A00_0000 + p_idx, 32));
+        }
+        assert_eq!(net.ip_of_prefix(Prefix::new(200)), None);
         assert!(net.check_prefix(Prefix::new(199)).is_ok());
         assert!(net.check_prefix(Prefix::new(200)).is_err());
     }

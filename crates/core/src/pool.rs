@@ -4,8 +4,8 @@
 //! and fans each epoch's per-shard work out as jobs; `Experiment`'s
 //! parallel trial runner may have many pumps in flight at once, all
 //! sharing this single pool. Keeping the threads parked for the life of
-//! the process — instead of the per-pump `crossbeam::thread::scope` spawn
-//! and the per-epoch `mpsc` round trip PR 6 used — makes a small epoch
+//! the process — instead of a per-pump scoped-thread spawn and the
+//! per-epoch `mpsc` round trip of an earlier design — makes a small epoch
 //! cost one condvar wake instead of a channel hop.
 //!
 //! This module is policy only (sizing and sharing); the mechanism — the

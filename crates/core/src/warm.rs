@@ -15,8 +15,8 @@
 //! A snapshot is a deep [`Clone`] of the quiesced [`Network`]: every BGP
 //! node (Adj-RIB-In, Loc-RIB, Adj-RIB-Out, MRAI timers, dynamic-MRAI
 //! level, processing queue, statistics counters, per-node RNG state), the
-//! scheduler (pending events, clock, cancel tombstones, id and delivery
-//! counters), and the interning caches. Thanks to the `Arc<[AsId]>`-interned
+//! scheduler (pending events, clock, id and delivery counters), and the
+//! interning caches. Thanks to the `Arc<[AsId]>`-interned
 //! AS paths, cloning is mostly refcount bumps rather than deep path copies,
 //! and the per-node prepend caches stay valid across the clone because their
 //! keys are the shared path allocations themselves.

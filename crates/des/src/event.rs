@@ -4,7 +4,8 @@ use std::cmp::Ordering;
 
 use crate::time::SimTime;
 
-/// Opaque handle to a scheduled event, used to cancel it before it fires.
+/// Identifier of a scheduled event: its sequence number, which orders
+/// events scheduled for the same instant.
 ///
 /// Returned by [`Scheduler::schedule`](crate::Scheduler::schedule). Ids are
 /// unique for the lifetime of a scheduler and are never reused.
@@ -23,8 +24,8 @@ impl EventId {
     /// numbers across threads (the sharded loop's mail, filed under
     /// `id_base + offset`) and hand them back via
     /// [`insert_allocated`](crate::Scheduler::insert_allocated). The number
-    /// must come from a previous [`alloc_id`](crate::Scheduler::alloc_id) /
-    /// `schedule` on the same list; fabricated ids break the determinism
+    /// must come from a previous [`alloc_ids`](crate::Scheduler::alloc_ids)
+    /// / `schedule` on the same list; fabricated ids break the determinism
     /// contract.
     pub fn from_u64(raw: u64) -> EventId {
         EventId(raw)

@@ -9,8 +9,9 @@
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulation time, so
 //!   event ordering is exact and runs are bit-for-bit reproducible.
 //! * [`Scheduler`] — a stable future-event list: events scheduled for the
-//!   same instant are delivered in insertion order, and events can be
-//!   cancelled via their [`EventId`].
+//!   same instant are delivered in insertion order, ranked by their
+//!   [`EventId`]. Every scheduled event is delivered; a timer that should
+//!   no longer act is recognised as stale by its handler.
 //! * [`Fel`] / [`FelKind`] — the names of the earlier pluggable-backend
 //!   API; a `Fel` is a [`Scheduler`].
 //! * [`rng`] — deterministic per-component random-number streams derived
@@ -19,14 +20,14 @@
 //! # Example
 //!
 //! ```
-//! use bgpsim_des::{Scheduler, SimDuration};
+//! use bgpsim_des::{Scheduler, SimDuration, SimTime};
 //!
 //! let mut sched: Scheduler<&'static str> = Scheduler::new();
-//! sched.schedule_after(SimDuration::from_millis(25), "arrive");
-//! sched.schedule_after(SimDuration::from_millis(10), "depart");
+//! sched.schedule(SimTime::ZERO + SimDuration::from_millis(25), "arrive");
+//! sched.schedule(SimTime::ZERO + SimDuration::from_millis(10), "depart");
 //! let (t, ev) = sched.next().expect("two events are pending");
 //! assert_eq!(ev, "depart");
-//! assert_eq!(t, bgpsim_des::SimTime::ZERO + SimDuration::from_millis(10));
+//! assert_eq!(t, SimTime::ZERO + SimDuration::from_millis(10));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -120,30 +120,27 @@ pub fn measure(topo: &Topology) -> TopologyMetrics {
     }
 }
 
-/// K-core numbers per router: the largest `k` such that the router belongs
-/// to a subgraph where every member has at least `k` neighbors inside it
-/// (computed by the standard peeling algorithm). The maximum core of an
-/// engineered hierarchy is its top clique, which is how relationship
-/// inference finds the "Tier-1" set without a side channel.
-pub fn core_numbers(topo: &Topology) -> Vec<usize> {
-    let n = topo.num_routers();
-    let mut degree: Vec<usize> = topo.router_ids().map(|r| topo.degree(r)).collect();
+/// K-core numbers of a graph given as adjacency lists (`adj[u]` lists
+/// `u`'s neighbours, each edge once per direction): the largest `k` such
+/// that node `u` belongs to a subgraph where every member has at least `k`
+/// neighbours inside it. The maximum core of an engineered hierarchy is
+/// its top clique, which is how relationship inference finds the "Tier-1"
+/// set without a side channel.
+pub fn core_numbers(adj: &[Vec<usize>]) -> Vec<usize> {
+    let n = adj.len();
+    let mut degree: Vec<usize> = adj.iter().map(Vec::len).collect();
     let mut removed = vec![false; n];
     let mut core = vec![0usize; n];
     // Peel the minimum-remaining-degree node; its core number is the
     // running maximum of peel degrees (standard degeneracy ordering).
     let mut max_peel = 0usize;
-    for _ in 0..n {
-        let u = (0..n)
-            .filter(|&i| !removed[i])
-            .min_by_key(|&i| degree[i])
-            .expect("n iterations over n nodes");
+    while let Some(u) = (0..n).filter(|&i| !removed[i]).min_by_key(|&i| degree[i]) {
         max_peel = max_peel.max(degree[u]);
         core[u] = max_peel;
         removed[u] = true;
-        for &v in topo.neighbors(RouterId::new(u as u32)) {
-            if !removed[v.index()] {
-                degree[v.index()] = degree[v.index()].saturating_sub(1);
+        for &v in &adj[u] {
+            if !removed[v] {
+                degree[v] = degree[v].saturating_sub(1);
             }
         }
     }
@@ -182,6 +179,13 @@ mod tests {
             .collect();
         let edges = (1..n).map(|i| (RouterId::new(i - 1), RouterId::new(i)));
         Topology::new(routers, edges).unwrap()
+    }
+
+    /// Router-level adjacency lists, the input [`core_numbers`] peels.
+    fn adjacency(topo: &Topology) -> Vec<Vec<usize>> {
+        topo.router_ids()
+            .map(|r| topo.neighbors(r).iter().map(|v| v.index()).collect())
+            .collect()
     }
 
     fn triangle() -> Topology {
@@ -244,9 +248,9 @@ mod tests {
     #[test]
     fn core_numbers_on_known_graphs() {
         // A line is 1-degenerate everywhere.
-        assert_eq!(core_numbers(&line(5)), vec![1; 5]);
+        assert_eq!(core_numbers(&adjacency(&line(5))), vec![1; 5]);
         // A triangle is a 2-core.
-        assert_eq!(core_numbers(&triangle()), vec![2; 3]);
+        assert_eq!(core_numbers(&adjacency(&triangle())), vec![2; 3]);
         // Triangle + pendant: pendant is core 1, triangle core 2.
         let routers = (0..4)
             .map(|i| Router {
@@ -264,7 +268,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(core_numbers(&topo), vec![2, 2, 2, 1]);
+        assert_eq!(core_numbers(&adjacency(&topo)), vec![2, 2, 2, 1]);
     }
 
     #[test]
@@ -275,7 +279,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(6);
         let params = HierarchicalParams::three_tier_120();
         let topo = hierarchical(&params, &mut rng).unwrap();
-        let core = core_numbers(&topo);
+        let core = core_numbers(&adjacency(&topo));
         let max = *core.iter().max().unwrap();
         let top: Vec<usize> = (0..core.len()).filter(|&i| core[i] == max).collect();
         // The 6-node clique is (part of) the maximum core; every clique

@@ -1,21 +1,19 @@
-//! Full-table prefix-block placement.
+//! Full-table prefix-block sizing.
 //!
 //! Real routing tables are not one prefix per AS: a handful of large
 //! networks originate thousands of prefixes while the long tail announces
 //! one or two, and the distribution of per-AS table share is heavy-tailed
 //! (Zipf-like over the origination rank). This module turns a target table
-//! size into a per-AS *block plan* — how many prefixes each AS originates
-//! and which contiguous CIDR block they are carved from — without touching
-//! any RNG stream: the plan is a pure function of `(as_count, table_size,
-//! skew)`, so workloads stay bit-reproducible and the sharded engine sees
-//! the identical origination schedule.
+//! size into a per-AS *block plan* — how many prefixes each AS originates —
+//! without touching any RNG stream: the plan is a pure function of
+//! `(as_count, table_size, skew)`, so workloads stay bit-reproducible and
+//! the sharded engine sees the identical origination schedule.
 //!
-//! Blocks are carved address-contiguously in AS order out of `10.0.0.0/8`.
-//! Because the generators place ASes on the grid in id order, contiguous
-//! AS ranges are spatially meaningful, and a contiguous *regional* failure
-//! withdraws contiguous address space — which is what makes burst
-//! withdrawals aggregatable and is how real allocation policy behaves
-//! (providers announce covering aggregates for their region).
+//! The network hands each AS a contiguous range of dense prefix slots in
+//! AS order, and names slot `s` as the /32 at `10.0.0.0 + s`. Because the
+//! generators place ASes on the grid in id order, contiguous AS ranges are
+//! spatially meaningful, and a contiguous *regional* failure withdraws
+//! contiguous address space, as real allocation policy would.
 
 /// How per-AS prefix counts are skewed across the table.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -92,42 +90,6 @@ impl PrefixPlan {
         debug_assert_eq!(sizes.iter().sum::<u32>(), total);
         sizes
     }
-
-    /// The contiguous CIDR block plan: for each AS (in id order) the base
-    /// address of its block inside `10.0.0.0/8` and its prefix count. The
-    /// per-prefix subnets are /32-spaced `base + j` addresses — the
-    /// interning layer treats each as a distinct destination, and the
-    /// address contiguity is what regional bursts exploit.
-    pub fn blocks(&self, as_count: usize) -> Vec<PrefixBlock> {
-        let sizes = self.block_sizes(as_count);
-        let mut base: u32 = 0x0A00_0000; // 10.0.0.0
-        sizes
-            .into_iter()
-            .map(|count| {
-                let b = PrefixBlock { base, count };
-                base = base.wrapping_add(count);
-                b
-            })
-            .collect()
-    }
-}
-
-/// One AS's contiguous address block: `count` /32-spaced destinations
-/// starting at `base`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PrefixBlock {
-    /// First address of the block.
-    pub base: u32,
-    /// Number of destinations in the block.
-    pub count: u32,
-}
-
-impl PrefixBlock {
-    /// The `j`-th destination address of the block.
-    pub fn addr(&self, j: u32) -> u32 {
-        debug_assert!(j < self.count);
-        self.base.wrapping_add(j)
-    }
 }
 
 #[cfg(test)]
@@ -168,22 +130,5 @@ mod tests {
         let a = PrefixPlan::internet_like(54_321).block_sizes(977);
         let b = PrefixPlan::internet_like(54_321).block_sizes(977);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn blocks_are_contiguous_in_as_order() {
-        let blocks = PrefixPlan::internet_like(1_000).blocks(40);
-        assert_eq!(blocks.len(), 40);
-        assert_eq!(blocks[0].base, 0x0A00_0000);
-        for w in blocks.windows(2) {
-            assert_eq!(
-                w[1].base,
-                w[0].base + w[0].count,
-                "blocks must tile the space"
-            );
-        }
-        let last = blocks.last().expect("non-empty");
-        assert_eq!(last.base + last.count - blocks[0].base, 1_000);
-        assert_eq!(blocks[3].addr(0), blocks[2].base + blocks[2].count);
     }
 }

@@ -1,5 +1,5 @@
 //! Full-table burst withdrawal, end to end: a 10^5-prefix routing table
-//! allocated through the longest-prefix-match trie, a regional storm that
+//! split across ASes in contiguous power-law blocks, a regional storm that
 //! withdraws every prefix block originated near the grid centre in one
 //! event burst, and the traced re-convergence exported as JSONL plus
 //! figure CSVs (per-destination settle times, run summary, withdrawn
@@ -137,7 +137,7 @@ fn main() -> std::io::Result<()> {
 
     // Figure CSVs. `settle.csv` is the per-destination settle map;
     // `withdrawn.csv` pins the storm's exact prefix set (slot index and
-    // trie-assigned address); `summary.csv` is the delay-vs-table-size
+    // its address, 10.0.0.0 + slot); `summary.csv` is the delay-vs-table-size
     // data point this run contributes to EXPERIMENTS.md.
     write("settle.csv", tl.settle_csv(t0))?;
     let mut wcsv = String::from("prefix,ip\n");

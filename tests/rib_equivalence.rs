@@ -2,27 +2,26 @@
 //! RIBs must be observably identical to the dense representation they
 //! replaced (DESIGN.md §12).
 //!
-//! The two engines are selected at compile time (`--features dense-rib`
-//! rebuilds everything on the pre-compact dense Adj-RIB-In/Out), so a
-//! single binary cannot run both. Equivalence is therefore pinned in
-//! three layers:
+//! The engine runs on the compact RIBs only; the dense Adj-RIB-In/Out
+//! survive in `bgpsim-bgp`'s test builds as the reference. Equivalence is
+//! pinned in three layers:
 //!
 //! 1. Data-structure proptests in `crates/bgp/src/rib.rs` drive the dense
 //!    and compact structures through identical operation histories and
 //!    compare every observable (including serialization bytes).
-//! 2. Every `cfg(test)` build of the engine carries a dense shadow
-//!    Adj-RIB-Out per peer session, asserted against the delta encoding
-//!    at each flush.
+//! 2. `bgpsim-bgp`'s own test build carries a dense shadow Adj-RIB-Out
+//!    per peer session, asserted against the delta encoding at each
+//!    flush.
 //! 3. This file pins the *end-to-end* observables of a full failure
 //!    experiment — every `RunStats` field and an order-sensitive digest
-//!    of every router's final Loc-RIB — as constants. CI runs it twice,
-//!    with and without `--features dense-rib`; both engines must
-//!    reproduce the same constants from the same topology, scheme and
-//!    seed, which is exactly the "field-identical RunStats and final
-//!    Loc-RIBs" claim.
+//!    of every router's final Loc-RIB — as constants. They were captured
+//!    when both engines existed and reproduced them from the same
+//!    topology, scheme and seed ("field-identical RunStats and final
+//!    Loc-RIBs"), so any drift from what the dense engine produced fails
+//!    here.
 //!
-//! If a change legitimately alters the simulation, re-baseline under the
-//! *default* build first, then confirm `--features dense-rib` agrees.
+//! If a change legitimately alters the simulation, re-baseline the
+//! constants and say why in the change record.
 
 use bgpsim::network::{Network, SimConfig};
 use bgpsim::scheme::Scheme;
@@ -90,8 +89,7 @@ fn run(scheme: &Scheme) -> (bgpsim::RunStats, u64) {
 #[test]
 fn dense_and_compact_engines_agree_on_stats_and_loc_ribs() {
     // (scheme, messages, announcements, withdrawals, digest) — captured
-    // once under the default (compact) build; the dense-rib build must
-    // reproduce them exactly.
+    // when the compact and the dense engines both reproduced them.
     let goldens = [
         (
             Scheme::constant_mrai(0.5),
@@ -123,9 +121,8 @@ fn dense_and_compact_engines_agree_on_stats_and_loc_ribs() {
     }
     assert!(
         failures.is_empty(),
-        "engines disagree with the pinned observables — if the change to \
-         the simulation is intentional, re-baseline under the default \
-         build and re-check --features dense-rib:\n{}",
+        "the engine disagrees with the pinned observables — if the change \
+         to the simulation is intentional, re-baseline the constants:\n{}",
         failures.join("\n")
     );
 }
