@@ -8,14 +8,18 @@
 //! default 120-node topology makes the 30k point the expensive one
 //! (~3.6M routes per trial) — drop `BGPSIM_NODES` for a quick pass.
 fn main() {
-    let sizes: Vec<u32> = std::env::var("BGPSIM_TABLE_SIZES")
-        .map(|v| {
-            v.split(',')
-                .map(|s| s.trim().parse().expect("BGPSIM_TABLE_SIZES: integer list"))
-                .collect()
-        })
-        .unwrap_or_else(|_| vec![1_000, 3_000, 10_000, 30_000]);
-    let opts = bgpsim_bench::opts_from_env();
+    let sizes: Vec<u32> = match std::env::var("BGPSIM_TABLE_SIZES") {
+        Ok(v) => v
+            .split(',')
+            .map(|s| s.trim().parse())
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|e| {
+                eprintln!("error: BGPSIM_TABLE_SIZES={v}: {e}");
+                std::process::exit(1)
+            }),
+        Err(_) => vec![1_000, 3_000, 10_000, 30_000],
+    };
+    let opts = bgpsim_bench::opts_from_env_for(&[("70-30", bgpsim::TopologySpec::seventy_thirty)]);
     let started = std::time::Instant::now();
     let data = bgpsim::figures::fig_fulltable(opts, &sizes);
     println!("{}", bgpsim::report::render_table(&data));

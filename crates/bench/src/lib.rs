@@ -13,28 +13,95 @@
 //! | `BGPSIM_THREADS`  | auto    | worker threads                  |
 //! | `BGPSIM_OUT`      | (none)  | directory for .txt/.csv/.json   |
 
+use std::fmt::Display;
 use std::path::Path;
+use std::str::FromStr;
 use std::time::Instant;
 
+use bgpsim::experiment::{Experiment, TopologySpec};
 use bgpsim::figures::{FigOpts, FigureData};
 use bgpsim::report::{render_csv, render_table};
+use bgpsim::scheme::Scheme;
+use bgpsim_topology::region::FailureSpec;
 
-/// Reads the sizing environment variables.
+/// A topology family: its name for error messages and its preset
+/// constructor.
+pub type Family = (&'static str, fn(usize) -> TopologySpec);
+
+/// Every topology family the figure and extension experiments draw.
+const FIGURE_FAMILIES: [Family; 6] = [
+    ("70-30", TopologySpec::seventy_thirty),
+    ("50-50", TopologySpec::fifty_fifty),
+    ("85-15", TopologySpec::eighty_five_fifteen),
+    ("50-50-dense", TopologySpec::fifty_fifty_dense),
+    ("realistic", TopologySpec::realistic),
+    ("hierarchical", TopologySpec::hierarchical),
+];
+
+/// Reads the sizing environment variables for a binary that may draw any
+/// family the figures and extensions use (70-30, 50-50, 85-15,
+/// 50-50-dense, realistic, hierarchical); see [`opts_from_env_for`].
 pub fn opts_from_env() -> FigOpts {
+    opts_from_env_for(&FIGURE_FAMILIES)
+}
+
+/// Reads the sizing environment variables. An unparsable value, zero
+/// trials, or a node count that some trial cannot draw a topology of in
+/// one of `families` prints `error: BGPSIM_<NAME>=<value>: …` to stderr
+/// and exits with status 1.
+pub fn opts_from_env_for(families: &[Family]) -> FigOpts {
+    try_opts_from_env(families).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(1)
+    })
+}
+
+fn try_opts_from_env(families: &[Family]) -> Result<FigOpts, String> {
     let mut opts = FigOpts::default();
-    if let Ok(v) = std::env::var("BGPSIM_NODES") {
-        opts.nodes = v.parse().expect("BGPSIM_NODES must be an integer");
+    if let Some(v) = env_parse("BGPSIM_NODES")? {
+        opts.nodes = v;
     }
-    if let Ok(v) = std::env::var("BGPSIM_TRIALS") {
-        opts.trials = v.parse().expect("BGPSIM_TRIALS must be an integer");
+    if let Some(v) = env_parse("BGPSIM_TRIALS")? {
+        if v == 0 {
+            return Err("BGPSIM_TRIALS=0: must be at least 1".into());
+        }
+        opts.trials = v;
     }
-    if let Ok(v) = std::env::var("BGPSIM_SEED") {
-        opts.base_seed = v.parse().expect("BGPSIM_SEED must be an integer");
+    if let Some(v) = env_parse("BGPSIM_SEED")? {
+        opts.base_seed = v;
     }
-    if let Ok(v) = std::env::var("BGPSIM_THREADS") {
-        opts.threads = Some(v.parse().expect("BGPSIM_THREADS must be an integer"));
+    if let Some(v) = env_parse("BGPSIM_THREADS")? {
+        opts.threads = Some(v);
     }
-    opts
+    // Whether a node count is too small depends on the family and the
+    // seed, so draw every trial's topology of each family up front.
+    let n = opts.nodes;
+    for &(family, spec) in families {
+        let exp = Experiment {
+            topology: spec(n),
+            scheme: Scheme::constant_mrai(0.5),
+            failure: FailureSpec::CenterFraction(0.0),
+            trials: opts.trials,
+            base_seed: opts.base_seed,
+        };
+        for trial in 0..opts.trials {
+            exp.trial_topology(trial).map_err(|e| {
+                format!("BGPSIM_NODES={n}: trial {trial} cannot draw a {family} topology: {e}")
+            })?;
+        }
+    }
+    Ok(opts)
+}
+
+/// Parses environment variable `name` if it is set.
+fn env_parse<T: FromStr>(name: &str) -> Result<Option<T>, String>
+where
+    T::Err: Display,
+{
+    match std::env::var(name) {
+        Ok(v) => v.parse().map(Some).map_err(|e| format!("{name}={v}: {e}")),
+        Err(_) => Ok(None),
+    }
 }
 
 /// Parses the `BGPSIM_ONLY` filter (comma-separated experiment ids); an

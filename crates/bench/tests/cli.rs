@@ -174,3 +174,35 @@ fn largescale_rejects_too_few_nodes_and_bad_failure() {
         assert_rejected(largescale(), args);
     }
 }
+
+#[test]
+fn figure_bins_reject_bad_sizing_without_panicking() {
+    let fig01 = env!("CARGO_BIN_EXE_fig01");
+    for (bin, name, value) in [
+        (fig01, "BGPSIM_NODES", "8"),
+        (fig01, "BGPSIM_TRIALS", "x"),
+        (fig01, "BGPSIM_TRIALS", "0"),
+        (
+            env!("CARGO_BIN_EXE_fig_fulltable"),
+            "BGPSIM_TABLE_SIZES",
+            "500,x",
+        ),
+    ] {
+        let out = Command::new(bin)
+            .env_remove("BGPSIM_OUT")
+            .env("BGPSIM_TRIALS", "1")
+            .env(name, value)
+            .output()
+            .expect("binary runs");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}={value}: {text}");
+        assert!(
+            text.contains(&format!("error: {name}={value}")),
+            "{name}={value}: no diagnostic naming the variable: {text}"
+        );
+        assert!(
+            !text.contains("panicked"),
+            "{name}={value} panicked: {text}"
+        );
+    }
+}

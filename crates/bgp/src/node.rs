@@ -117,7 +117,7 @@ impl PeerSession {
 /// id. Point lookups binary-search; iteration is ascending by
 /// construction — the order every flush and export sweep relies on.
 /// Replaces a `BTreeMap` plus a separate id `Vec`: one allocation, no
-/// tree-node overhead, and snapshot clones are a flat `Vec` copy.
+/// tree-node overhead, and network clones are a flat `Vec` copy.
 #[derive(Clone, Debug, Default)]
 struct PeerTable {
     sessions: Vec<(RouterId, PeerSession)>,
@@ -233,7 +233,7 @@ pub struct BgpNode {
     in_service: Vec<WorkItem>,
     /// Shared, refcounted configuration: the network builds one allocation
     /// per distinct config (the per-network arena) and every node — and
-    /// every snapshot fork — points at it.
+    /// every clone of the network — points at it.
     cfg: Arc<NodeConfig>,
     dyn_ctrl: Option<DynMraiController>,
     /// Flap-damping state per (peer, prefix) — only populated when damping
@@ -295,7 +295,7 @@ impl BgpNode {
     /// Like [`BgpNode::new`], but sharing an already-allocated config.
     /// The network deduplicates configurations through this: every node
     /// built from the same settings holds the same allocation, and
-    /// snapshot forks keep sharing it (see
+    /// network clones keep sharing it (see
     /// [`BgpNode::shares_config_allocation`]).
     ///
     /// # Panics
@@ -378,7 +378,7 @@ impl BgpNode {
 
     /// Whether this node shares its config allocation with `other` — true
     /// for nodes the network built from the same configuration and for
-    /// snapshot forks, which must keep sharing rather than deep-copy.
+    /// network clones, which must keep sharing rather than deep-copy.
     pub fn shares_config_allocation(&self, other: &BgpNode) -> bool {
         Arc::ptr_eq(&self.cfg, &other.cfg)
     }

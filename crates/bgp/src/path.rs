@@ -100,7 +100,7 @@ impl AsPath {
     /// Whether two paths share the same backing allocation (refcount-bump
     /// clones of one another). Used by the per-node prepend cache to key
     /// on identity rather than content, and by memory tests as the
-    /// witness that snapshot forks share path storage instead of deep-
+    /// witness that network clones share path storage instead of deep-
     /// copying it.
     pub fn ptr_eq(&self, other: &AsPath) -> bool {
         std::ptr::eq(self.0.as_ptr(), other.0.as_ptr())

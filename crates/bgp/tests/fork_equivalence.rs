@@ -1,8 +1,8 @@
 //! Property test: a cloned `BgpNode` is indistinguishable from the
 //! original.
 //!
-//! The warm-start sweep engine (`bgpsim::warm`) snapshots a converged
-//! network by cloning every node — RIBs, MRAI timers, processing queue,
+//! The parallel experiment runner forks a converged network by cloning
+//! every node — RIBs, MRAI timers, processing queue,
 //! per-node RNG, and the memoized prepend cache (whose keys are the shared
 //! `Arc<[AsId]>` path allocations, and therefore stay valid across the
 //! clone). This test drives a node through a randomized update stream,

@@ -6,7 +6,8 @@
 //! full pipeline (initial convergence → failure → re-convergence) and the
 //! results are aggregated. [`run_all_parallel`] fans a batch of experiment
 //! points out over worker threads (scoped threads — trials are
-//! independent).
+//! independent) and converges each pre-failure network the batch shares
+//! only once.
 
 use bgpsim_des::RngStreams;
 use bgpsim_topology::degree::{DegreeSpec, SkewedSpec};
@@ -16,12 +17,14 @@ use bgpsim_topology::region::FailureSpec;
 use bgpsim_topology::{Topology, TopologyError};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 pub use crate::metrics::Aggregate;
 use crate::metrics::RunStats;
 use crate::network::{Network, SimConfig};
 use crate::scheme::Scheme;
-use crate::warm::{SnapshotCache, SnapshotKey, WarmStats};
 
 /// A topology family an experiment draws from (one fresh sample per trial).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -153,8 +156,8 @@ impl Experiment {
     }
 
     /// Runs a single trial cold: fresh topology, fresh network, initial
-    /// convergence from scratch. The reference the warm path is checked
-    /// against.
+    /// convergence from scratch. The reference the parallel runner's
+    /// forked trials are checked against.
     pub fn run_trial(&self, trial: u32) -> RunStats {
         self.run_trial_with_network(trial).0
     }
@@ -168,23 +171,6 @@ impl Experiment {
         let mut net = self.build_network(trial);
         let stats = net.run_failure_experiment(&self.failure);
         (stats, net)
-    }
-
-    /// Runs a single trial warm-started from `cache`: the converged
-    /// pre-failure state is forked from a shared snapshot (built on first
-    /// use), so only failure injection and re-convergence run per point.
-    /// Produces bit-identical [`RunStats`] to [`run_trial`](Experiment::run_trial) —
-    /// the converged state depends on the snapshot key alone, forking
-    /// clones it exactly, and failure injection derives its randomness
-    /// freshly from the simulation seed.
-    pub fn run_trial_warm(&self, trial: u32, cache: &SnapshotCache) -> RunStats {
-        let mut net = cache.fork_or_build(self.snapshot_key(trial), || {
-            let mut net = self.build_network(trial);
-            net.run_initial_convergence();
-            net
-        });
-        net.inject_failure(&self.failure);
-        net.run_to_quiescence()
     }
 
     /// Runs a single trial with re-convergence tracing: the network
@@ -223,9 +209,15 @@ impl Experiment {
             .try_generate(&mut streams.stream("topology", u64::from(trial)))
     }
 
-    /// Builds the trial's network (topology sampled, config applied) but
-    /// runs nothing yet.
-    fn build_network(&self, trial: u32) -> Network {
+    /// Builds the trial's network — its topology draw
+    /// ([`trial_topology`](Experiment::trial_topology)) and its simulation
+    /// seed, with the scheme's configuration applied — but runs nothing
+    /// yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trial's topology draw fails.
+    pub fn build_network(&self, trial: u32) -> Network {
         let topo = self
             .trial_topology(trial)
             .unwrap_or_else(|e| panic!("topology generation failed: {e}"));
@@ -238,18 +230,6 @@ impl Experiment {
             cfg.policy_tiers = Some(params.tier_vector());
         }
         Network::new(topo, cfg)
-    }
-
-    /// The snapshot-cache key identifying this point's converged
-    /// pre-failure state: everything about the trial *except* the failure.
-    pub fn snapshot_key(&self, trial: u32) -> SnapshotKey {
-        let prototype = serde_json::to_string(&(&self.topology, &self.scheme))
-            .expect("topology/scheme specs serialize");
-        SnapshotKey {
-            prototype,
-            base_seed: self.base_seed,
-            trial,
-        }
     }
 }
 
@@ -310,74 +290,87 @@ pub struct ParallelReport {
     pub parallelism_available: usize,
     /// Per-trial wall-clock timings, in `(point, trial)` order.
     pub timings: Vec<TrialTiming>,
-    /// Warm-start snapshot-cache effectiveness (`None` for cold runs).
+    /// How the batch's trials shared converged networks; always `Some`
+    /// from [`run_all_parallel_timed`].
     pub warm: Option<WarmStats>,
+}
+
+/// How a parallel batch run shared converged pre-failure networks
+/// (*prototypes*) between its trials, reported through
+/// [`ParallelReport::warm`] and the benchmark's `warm.*` metrics.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct WarmStats {
+    /// Prototypes built (topology drawn, initial convergence run).
+    pub builds: u64,
+    /// Networks handed to trials, one per trial: a clone of its
+    /// prototype, or the prototype itself for its last trial.
+    pub forks: u64,
+    /// Trials whose prototype was already built.
+    pub hits: u64,
+    /// Trials that built their prototype (equals `builds`).
+    pub misses: u64,
+    /// Wall-clock seconds spent building prototypes (topology generation +
+    /// initial convergence), summed across workers.
+    pub build_wall_secs: f64,
+    /// Wall-clock seconds spent forking, summed across workers.
+    pub fork_wall_secs: f64,
 }
 
 /// Runs a batch of experiment points, fanning individual trials out over
 /// `threads` workers (defaults to available parallelism). Results are in
-/// the same order as `points`.
-///
-/// Trials are warm-started: points sharing a `(topology, scheme, seed,
-/// trial)` key — a figure sweep's points differ only in failure size —
-/// fork one shared converged prototype instead of re-converging from
-/// cold. Results are bit-identical to cold runs (see [`crate::warm`]).
+/// the same order as `points` and bit-identical to [`Experiment::run`].
 pub fn run_all_parallel(points: &[Experiment], threads: Option<usize>) -> Vec<Aggregate> {
     run_all_parallel_timed(points, threads).0
 }
 
 /// [`run_all_parallel`], additionally reporting the worker-thread count,
-/// per-trial wall-clock timings and snapshot-cache counters (consumed by
-/// the benchmark's `experiment.*` and `warm.*` metrics).
+/// per-trial wall-clock timings and prototype sharing (consumed by the
+/// benchmark's `experiment.*` and `warm.*` metrics).
+///
+/// A figure sweep's points differ only in what fails, so their trials
+/// converge the same pre-failure network. Each `(point, trial)` task
+/// therefore names its prototype: the first task with the same topology
+/// family, scheme, base seed and trial. The first worker to reach a
+/// prototype builds and converges it, later tasks clone it, and the last
+/// one moves it out, so a converged network is freed as soon as its last
+/// trial starts. A clone continues bit-identically to the original, and
+/// failure injection draws fresh randomness from the simulation seed, so
+/// every trial's stats equal a cold [`Experiment::run_trial`].
 pub fn run_all_parallel_timed(
     points: &[Experiment],
     threads: Option<usize>,
 ) -> (Vec<Aggregate>, ParallelReport) {
-    run_all_parallel_inner(points, threads, true)
-}
-
-/// [`run_all_parallel_timed`] without the warm-start snapshot cache:
-/// every trial re-converges from cold. Kept as the reference path the
-/// warm-start tests compare against.
-pub fn run_all_parallel_timed_cold(
-    points: &[Experiment],
-    threads: Option<usize>,
-) -> (Vec<Aggregate>, ParallelReport) {
-    run_all_parallel_inner(points, threads, false)
-}
-
-fn run_all_parallel_inner(
-    points: &[Experiment],
-    threads: Option<usize>,
-    warm: bool,
-) -> (Vec<Aggregate>, ParallelReport) {
     let threads = threads.unwrap_or_else(default_thread_count).max(1);
-    let cache = warm.then(SnapshotCache::new);
-    if let Some(cache) = &cache {
-        // Declare the batch's full demand up front: the cache then hands
-        // the prototype itself to each key's last trial (no clone) and
-        // evicts the entry, so converged networks are released as the
-        // sweep progresses instead of staying pinned until the end.
-        for p in points {
-            for trial in 0..p.trials {
-                cache.expect_forks(p.snapshot_key(trial), 1);
-            }
-        }
-    }
-
-    // Flatten to (point index, trial) tasks.
     let tasks: Vec<(usize, u32)> = points
         .iter()
         .enumerate()
         .flat_map(|(i, p)| (0..p.trials).map(move |t| (i, t)))
         .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // One slot per trial: the run's stats plus its wall-clock seconds.
-    type TrialSlots = std::sync::Mutex<Vec<Option<(RunStats, f64)>>>;
-    let results: Vec<TrialSlots> = points
-        .iter()
-        .map(|p| std::sync::Mutex::new(vec![None; p.trials as usize]))
+    let converge_alike = |(p, t): (usize, u32), (q, u): (usize, u32)| {
+        let (a, b) = (&points[p], &points[q]);
+        t == u && a.base_seed == b.base_seed && a.topology == b.topology && a.scheme == b.scheme
+    };
+    let prototype: Vec<usize> = (0..tasks.len())
+        .map(|i| {
+            tasks[..i]
+                .iter()
+                .position(|&earlier| converge_alike(tasks[i], earlier))
+                .unwrap_or(i)
+        })
         .collect();
+    // One slot per task; a prototype's slot holds its network once built
+    // and the number of its tasks still to fork it.
+    let mut forks_left = vec![0usize; tasks.len()];
+    for &p in &prototype {
+        forks_left[p] += 1;
+    }
+    let slots: Vec<Mutex<(Option<Network>, usize)>> = forks_left
+        .into_iter()
+        .map(|n| Mutex::new((None, n)))
+        .collect();
+    let results: Vec<OnceLock<(RunStats, f64)>> = tasks.iter().map(|_| OnceLock::new()).collect();
+    let warm = Mutex::new(WarmStats::default());
+    let next = AtomicUsize::new(0);
 
     let workers = threads.min(tasks.len().max(1));
     // Trial workers are plain scoped threads: there are few of them and
@@ -391,44 +384,43 @@ fn run_all_parallel_inner(
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&(point_idx, trial)) = tasks.get(i) else {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&(point, trial)) = tasks.get(i) else {
                     break;
                 };
-                let started = std::time::Instant::now();
-                let stats = match &cache {
-                    Some(cache) => points[point_idx].run_trial_warm(trial, cache),
-                    None => points[point_idx].run_trial(trial),
-                };
-                let wall_secs = started.elapsed().as_secs_f64();
-                results[point_idx].lock().expect("no poisoned trials")[trial as usize] =
-                    Some((stats, wall_secs));
+                let exp = &points[point];
+                let started = Instant::now();
+                let mut net = fork(&slots[prototype[i]], &warm, || {
+                    let mut net = exp.build_network(trial);
+                    net.run_initial_convergence();
+                    net
+                });
+                net.inject_failure(&exp.failure);
+                let stats = net.run_to_quiescence();
+                results[i]
+                    .set((stats, started.elapsed().as_secs_f64()))
+                    .expect("each task runs once");
             });
         }
     });
 
-    let mut timings = Vec::with_capacity(tasks.len());
-    let aggregates = results
+    let runs: Vec<(RunStats, f64)> = results
         .into_iter()
-        .enumerate()
-        .map(|(point, m)| {
-            let runs = m
-                .into_inner()
-                .expect("no poisoned trials")
-                .into_iter()
-                .enumerate()
-                .map(|(trial, r)| {
-                    let (stats, wall_secs) = r.expect("every trial ran");
-                    timings.push(TrialTiming {
-                        point,
-                        trial: trial as u32,
-                        wall_secs,
-                    });
-                    stats
-                })
-                .collect();
-            Aggregate::new(runs)
+        .map(|r| r.into_inner().expect("every trial ran"))
+        .collect();
+    let timings = tasks
+        .iter()
+        .zip(&runs)
+        .map(|(&(point, trial), &(_, wall_secs))| TrialTiming {
+            point,
+            trial,
+            wall_secs,
         })
+        .collect();
+    let mut stats = runs.into_iter().map(|(s, _)| s);
+    let aggregates = points
+        .iter()
+        .map(|p| Aggregate::new(stats.by_ref().take(p.trials as usize).collect()))
         .collect();
     (
         aggregates,
@@ -439,9 +431,48 @@ fn run_all_parallel_inner(
                 .map(usize::from)
                 .unwrap_or(1),
             timings,
-            warm: cache.map(|c| c.stats()),
+            warm: Some(warm.into_inner().expect("no poisoned trials")),
         },
     )
+}
+
+/// Hands a task its network from its prototype's slot: the first caller
+/// builds the prototype while later callers wait on the lock, then every
+/// caller but the last takes a clone and the last takes the prototype.
+fn fork(
+    slot: &Mutex<(Option<Network>, usize)>,
+    warm: &Mutex<WarmStats>,
+    build: impl FnOnce() -> Network,
+) -> Network {
+    let mut slot = slot.lock().expect("no poisoned prototypes");
+    let (prototype, forks_left) = &mut *slot;
+    let started = Instant::now();
+    let built = prototype.is_none();
+    if built {
+        *prototype = Some(build());
+    }
+    let build_secs = started.elapsed().as_secs_f64();
+    let started = Instant::now();
+    *forks_left -= 1;
+    let net = if *forks_left == 0 {
+        prototype.take()
+    } else {
+        prototype.clone()
+    }
+    .expect("prototype built above");
+    let fork_secs = started.elapsed().as_secs_f64();
+    drop(slot);
+    let mut warm = warm.lock().expect("no poisoned trials");
+    warm.forks += 1;
+    warm.fork_wall_secs += fork_secs;
+    if built {
+        warm.builds += 1;
+        warm.misses += 1;
+        warm.build_wall_secs += build_secs;
+    } else {
+        warm.hits += 1;
+    }
+    net
 }
 
 #[cfg(test)]
@@ -498,8 +529,8 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        // The parallel runner is warm-started, the sequential reference is
-        // cold — this doubles as the warm == cold determinism lock.
+        // The parallel runner forks shared prototypes, the sequential
+        // reference runs every trial cold.
         let points = vec![tiny_experiment(3), tiny_experiment(4)];
         let seq: Vec<Aggregate> = points.iter().map(Experiment::run).collect();
         let par = run_all_parallel(&points, Some(3));
@@ -508,46 +539,28 @@ mod tests {
 
     #[test]
     fn warm_trial_is_bit_identical_to_cold() {
-        let mut sweep = Vec::new();
-        for fraction in [0.05, 0.1, 0.2] {
-            let mut p = tiny_experiment(5);
-            p.failure = FailureSpec::CenterFraction(fraction);
-            sweep.push(p);
-        }
-        let cache = SnapshotCache::new();
-        for p in &sweep {
-            for trial in 0..p.trials {
-                assert_eq!(p.run_trial_warm(trial, &cache), p.run_trial(trial));
+        // A fig01-shaped batch: 3 schemes x 6 failure sizes x 2 trials.
+        // Points differing only in failure size share a prototype per
+        // trial; a different scheme or trial number does not.
+        let mut points = Vec::new();
+        for mrai in [0.5, 1.25, 2.25] {
+            for fraction in crate::figures::FAILURE_FRACTIONS {
+                let mut p = tiny_experiment(5);
+                p.scheme = Scheme::constant_mrai(mrai);
+                p.failure = FailureSpec::CenterFraction(fraction);
+                points.push(p);
             }
         }
-        // All points share (topology, scheme, seed): one snapshot per trial.
-        let stats = cache.stats();
-        assert_eq!(stats.builds, 2);
-        assert_eq!(stats.forks, 6);
-        assert_eq!(stats.hits, 4);
-    }
-
-    #[test]
-    fn snapshot_key_ignores_failure_only() {
-        let a = tiny_experiment(6);
-        let mut b = tiny_experiment(6);
-        b.failure = FailureSpec::CenterFraction(0.2);
-        assert_eq!(a.snapshot_key(0), b.snapshot_key(0));
-        assert_ne!(a.snapshot_key(0), a.snapshot_key(1));
-        let mut c = tiny_experiment(6);
-        c.scheme = Scheme::batching(0.5);
-        assert_ne!(a.snapshot_key(0), c.snapshot_key(0));
-    }
-
-    #[test]
-    fn cold_parallel_reports_no_warm_stats() {
-        let points = vec![tiny_experiment(8)];
-        let (warm_agg, warm_report) = run_all_parallel_timed(&points, Some(2));
-        let (cold_agg, cold_report) = run_all_parallel_timed_cold(&points, Some(2));
-        assert_eq!(warm_agg, cold_agg);
-        assert!(cold_report.warm.is_none());
-        let stats = warm_report.warm.expect("warm runs report cache stats");
-        assert_eq!(stats.forks, 2);
+        let (par, report) = run_all_parallel_timed(&points, Some(2));
+        let seq: Vec<Aggregate> = points.iter().map(Experiment::run).collect();
+        assert_eq!(par, seq);
+        let warm = report.warm.expect("the runner reports prototype sharing");
+        assert_eq!(
+            (warm.builds, warm.misses, warm.hits, warm.forks),
+            (6, 6, 30, 36)
+        );
+        assert!(warm.build_wall_secs > 0.0);
+        assert_eq!(report.timings.len(), 36);
     }
 
     #[test]

@@ -25,54 +25,12 @@
 use bgpsim_des::SimDuration;
 use bgpsim_topology::region::FailureSpec;
 
-use crate::experiment::{run_all_parallel, Experiment, TopologySpec};
-use crate::figures::{FigOpts, FigureData, FigureFn, Metric, Series};
+use crate::experiment::{Experiment, TopologySpec};
+use crate::figures::{failure_sweep, on_topology, FigOpts, FigureData, FigureFn, Metric, Series};
 use crate::scheme::Scheme;
 
 /// Failure sizes used by the extension sweeps (a subset of the paper's).
 pub const EXT_FRACTIONS: [f64; 4] = [0.01, 0.05, 0.10, 0.20];
-
-fn sweep(
-    id: &str,
-    title: &str,
-    metric: Metric,
-    entries: &[(Scheme, TopologySpec)],
-    fractions: &[f64],
-    opts: FigOpts,
-) -> FigureData {
-    let mut points: Vec<Experiment> = Vec::new();
-    for (scheme, topology) in entries {
-        for &f in fractions {
-            points.push(Experiment {
-                topology: topology.clone(),
-                scheme: scheme.clone(),
-                failure: FailureSpec::CenterFraction(f),
-                trials: opts.trials,
-                base_seed: opts.base_seed,
-            });
-        }
-    }
-    let aggs = run_all_parallel(&points, opts.threads);
-    let series = entries
-        .iter()
-        .enumerate()
-        .map(|(si, (scheme, _))| Series {
-            name: scheme.name.clone(),
-            points: fractions
-                .iter()
-                .enumerate()
-                .map(|(fi, &f)| (f * 100.0, metric.value(&aggs[si * fractions.len() + fi])))
-                .collect(),
-        })
-        .collect();
-    FigureData {
-        id: id.into(),
-        title: title.into(),
-        x_label: "failure size (% of nodes)".into(),
-        y_label: metric.label().into(),
-        series,
-    }
-}
 
 /// Network-size sensitivity: the same scheme on 60-, 120- and 240-node
 /// 70-30 topologies (the paper verified its 120-node trends at both other
@@ -87,7 +45,7 @@ pub fn ext_size_sensitivity(opts: FigOpts) -> FigureData {
             )
         })
         .collect();
-    sweep(
+    failure_sweep(
         "ext-size",
         "Network-size sensitivity (MRAI = 1.25 s)",
         Metric::DelaySecs,
@@ -118,9 +76,9 @@ pub fn ext_detector_comparison(opts: FigOpts) -> FigureData {
         queue: QueueDiscipline::Fifo,
         overrides: SimOverrides::default(),
     };
-    let topo = TopologySpec::seventy_thirty(opts.nodes);
-    let entries = vec![
-        (
+    let entries = on_topology(
+        TopologySpec::seventy_thirty(opts.nodes),
+        [
             mk(
                 "unfinished work",
                 Detector::UnfinishedWork {
@@ -129,9 +87,6 @@ pub fn ext_detector_comparison(opts: FigOpts) -> FigureData {
                     mean_processing: SimDuration::from_micros(15_500),
                 },
             ),
-            topo.clone(),
-        ),
-        (
             mk(
                 "utilization",
                 Detector::Utilization {
@@ -139,15 +94,11 @@ pub fn ext_detector_comparison(opts: FigOpts) -> FigureData {
                     down: 0.15,
                 },
             ),
-            topo.clone(),
-        ),
-        (
             mk("update count", Detector::UpdateCount { up: 40, down: 4 }),
-            topo.clone(),
-        ),
-        (Scheme::constant_mrai(0.5), topo),
-    ];
-    sweep(
+            Scheme::constant_mrai(0.5),
+        ],
+    );
+    failure_sweep(
         "ext-detectors",
         "Dynamic-MRAI overload detectors",
         Metric::DelaySecs,
@@ -159,17 +110,16 @@ pub fn ext_detector_comparison(opts: FigOpts) -> FigureData {
 
 /// The failure-size oracle vs the dynamic scheme and the constants.
 pub fn ext_oracle(opts: FigOpts) -> FigureData {
-    let topo = TopologySpec::seventy_thirty(opts.nodes);
-    let entries = vec![
-        (
+    let entries = on_topology(
+        TopologySpec::seventy_thirty(opts.nodes),
+        [
             Scheme::oracle(&[(0.025, 0.5), (0.075, 1.25), (1.0, 2.25)]),
-            topo.clone(),
-        ),
-        (Scheme::dynamic_default().named("dynamic"), topo.clone()),
-        (Scheme::constant_mrai(0.5), topo.clone()),
-        (Scheme::constant_mrai(2.25), topo),
-    ];
-    sweep(
+            Scheme::dynamic_default().named("dynamic"),
+            Scheme::constant_mrai(0.5),
+            Scheme::constant_mrai(2.25),
+        ],
+    );
+    failure_sweep(
         "ext-oracle",
         "Failure-size-aware oracle MRAI (paper §5 future work)",
         Metric::DelaySecs,
@@ -182,16 +132,15 @@ pub fn ext_oracle(opts: FigOpts) -> FigureData {
 /// Deshpande & Sikdar's timer-cancelling scheme: delay (left metric) — use
 /// [`ext_expedite_messages`] for the message-count side of the trade-off.
 pub fn ext_expedite(opts: FigOpts) -> FigureData {
-    let topo = TopologySpec::seventy_thirty(opts.nodes);
-    let entries = vec![
-        (Scheme::constant_mrai(2.25), topo.clone()),
-        (
+    let entries = on_topology(
+        TopologySpec::seventy_thirty(opts.nodes),
+        [
+            Scheme::constant_mrai(2.25),
             Scheme::constant_mrai(2.25).with_expedited_improvements(),
-            topo.clone(),
-        ),
-        (Scheme::constant_mrai(0.5), topo),
-    ];
-    sweep(
+            Scheme::constant_mrai(0.5),
+        ],
+    );
+    failure_sweep(
         "ext-expedite",
         "Expedited improvements (Deshpande & Sikdar [12]): delay",
         Metric::DelaySecs,
@@ -204,15 +153,14 @@ pub fn ext_expedite(opts: FigOpts) -> FigureData {
 /// The message-count cost of expedited improvements (the paper notes the
 /// related-work schemes raise the update count "considerably").
 pub fn ext_expedite_messages(opts: FigOpts) -> FigureData {
-    let topo = TopologySpec::seventy_thirty(opts.nodes);
-    let entries = vec![
-        (Scheme::constant_mrai(2.25), topo.clone()),
-        (
+    let entries = on_topology(
+        TopologySpec::seventy_thirty(opts.nodes),
+        [
+            Scheme::constant_mrai(2.25),
             Scheme::constant_mrai(2.25).with_expedited_improvements(),
-            topo,
-        ),
-    ];
-    sweep(
+        ],
+    );
+    failure_sweep(
         "ext-expedite-msgs",
         "Expedited improvements: message cost",
         Metric::Messages,
@@ -225,17 +173,16 @@ pub fn ext_expedite_messages(opts: FigOpts) -> FigureData {
 /// Per-peer vs per-destination MRAI scope.
 pub fn ext_mrai_scope(opts: FigOpts) -> FigureData {
     use bgpsim_bgp::mrai::MraiScope;
-    let topo = TopologySpec::seventy_thirty(opts.nodes);
-    let entries = vec![
-        (Scheme::constant_mrai(2.25).named("per-peer"), topo.clone()),
-        (
+    let entries = on_topology(
+        TopologySpec::seventy_thirty(opts.nodes),
+        [
+            Scheme::constant_mrai(2.25).named("per-peer"),
             Scheme::constant_mrai(2.25)
                 .with_mrai_scope(MraiScope::PerDestination)
                 .named("per-destination"),
-            topo,
-        ),
-    ];
-    sweep(
+        ],
+    );
+    failure_sweep(
         "ext-scope",
         "MRAI scope: per-peer vs per-destination (RFC-literal)",
         Metric::DelaySecs,
@@ -249,19 +196,18 @@ pub fn ext_mrai_scope(opts: FigOpts) -> FigureData {
 /// (future-work improvement), and the TCP-buffer baseline.
 pub fn ext_batching_variants(opts: FigOpts) -> FigureData {
     use bgpsim_bgp::queue::QueueDiscipline;
-    let topo = TopologySpec::seventy_thirty(opts.nodes);
     let mut largest = Scheme::batching(0.5).named("batching (largest-first)");
     largest.queue = QueueDiscipline::BatchedLargestFirst;
-    let entries = vec![
-        (
+    let entries = on_topology(
+        TopologySpec::seventy_thirty(opts.nodes),
+        [
             Scheme::batching(0.5).named("batching (oldest-first)"),
-            topo.clone(),
-        ),
-        (largest, topo.clone()),
-        (Scheme::tcp_batch(0.5, 32), topo.clone()),
-        (Scheme::constant_mrai(0.5).named("fifo"), topo),
-    ];
-    sweep(
+            largest,
+            Scheme::tcp_batch(0.5, 32),
+            Scheme::constant_mrai(0.5).named("fifo"),
+        ],
+    );
+    failure_sweep(
         "ext-batching",
         "Batching variants (paper §5 future work)",
         Metric::DelaySecs,
@@ -273,29 +219,22 @@ pub fn ext_batching_variants(opts: FigOpts) -> FigureData {
 
 /// Model ablations: jitter off, WRATE on, 2 s failure-detection delay.
 pub fn ext_ablations(opts: FigOpts) -> FigureData {
-    let topo = TopologySpec::seventy_thirty(opts.nodes);
-    let entries = vec![
-        (Scheme::constant_mrai(1.25).named("baseline"), topo.clone()),
-        (
+    let entries = on_topology(
+        TopologySpec::seventy_thirty(opts.nodes),
+        [
+            Scheme::constant_mrai(1.25).named("baseline"),
             Scheme::constant_mrai(1.25)
                 .with_jitter(false)
                 .named("no jitter"),
-            topo.clone(),
-        ),
-        (
             Scheme::constant_mrai(1.25)
                 .with_wrate(true)
                 .named("WRATE on"),
-            topo.clone(),
-        ),
-        (
             Scheme::constant_mrai(1.25)
                 .with_detection_delay(SimDuration::from_secs(2))
                 .named("2 s detection"),
-            topo,
-        ),
-    ];
-    sweep(
+        ],
+    );
+    failure_sweep(
         "ext-ablations",
         "Model ablations (MRAI = 1.25 s)",
         Metric::DelaySecs,
@@ -312,27 +251,20 @@ pub fn ext_ablations(opts: FigOpts) -> FigureData {
 pub fn ext_policy(opts: FigOpts) -> FigureData {
     // A hierarchical (Tier-1 clique) topology so valley-free reachability
     // is total and the comparison isolates path-exploration pruning.
-    let topo = TopologySpec::hierarchical(opts.nodes);
-    let entries = vec![
-        (Scheme::constant_mrai(0.5).named("no policy"), topo.clone()),
-        (
+    let entries = on_topology(
+        TopologySpec::hierarchical(opts.nodes),
+        [
+            Scheme::constant_mrai(0.5).named("no policy"),
             Scheme::constant_mrai(0.5)
                 .with_policy()
                 .named("Gao-Rexford"),
-            topo.clone(),
-        ),
-        (
             Scheme::constant_mrai(2.25).named("no policy (2.25)"),
-            topo.clone(),
-        ),
-        (
             Scheme::constant_mrai(2.25)
                 .with_policy()
                 .named("Gao-Rexford (2.25)"),
-            topo,
-        ),
-    ];
-    sweep(
+        ],
+    );
+    failure_sweep(
         "ext-policy",
         "Policy impact on convergence (Labovitz et al. [6])",
         Metric::DelaySecs,
@@ -348,26 +280,19 @@ pub fn ext_policy(opts: FigOpts) -> FigureData {
 /// but the largest failures — the justification for the paper's implicit
 /// fast-detection assumption.
 pub fn ext_detection(opts: FigOpts) -> FigureData {
-    let topo = TopologySpec::seventy_thirty(opts.nodes);
-    let entries = vec![
-        (
+    let entries = on_topology(
+        TopologySpec::seventy_thirty(opts.nodes),
+        [
             Scheme::constant_mrai(1.25).named("instant detection"),
-            topo.clone(),
-        ),
-        (
             Scheme::constant_mrai(1.25)
                 .with_hold_timer(SimDuration::from_secs(9))
                 .named("hold timer 9 s"),
-            topo.clone(),
-        ),
-        (
             Scheme::constant_mrai(1.25)
                 .with_hold_timer(SimDuration::from_secs(90))
                 .named("hold timer 90 s"),
-            topo,
-        ),
-    ];
-    sweep(
+        ],
+    );
+    failure_sweep(
         "ext-detection",
         "Failure-detection models",
         Metric::DelaySecs,
@@ -382,23 +307,19 @@ pub fn ext_detection(opts: FigOpts) -> FigureData {
 /// same failure sweep with 1, 4 and 8 prefixes per AS, with and without
 /// batching.
 pub fn ext_destinations(opts: FigOpts) -> FigureData {
-    let topo = TopologySpec::seventy_thirty(opts.nodes);
-    let mut entries = Vec::new();
-    for k in [1usize, 4, 8] {
-        entries.push((
-            Scheme::constant_mrai(0.5)
-                .with_prefixes_per_as(k)
-                .named(&format!("fifo, {k} pfx/AS")),
-            topo.clone(),
-        ));
-    }
-    entries.push((
-        Scheme::batching(0.5)
-            .with_prefixes_per_as(8)
-            .named("batching, 8 pfx/AS"),
-        topo,
-    ));
-    sweep(
+    let fifo = [1usize, 4, 8].map(|k| {
+        Scheme::constant_mrai(0.5)
+            .with_prefixes_per_as(k)
+            .named(&format!("fifo, {k} pfx/AS"))
+    });
+    let batching = Scheme::batching(0.5)
+        .with_prefixes_per_as(8)
+        .named("batching, 8 pfx/AS");
+    let entries = on_topology(
+        TopologySpec::seventy_thirty(opts.nodes),
+        fifo.into_iter().chain([batching]),
+    );
+    failure_sweep(
         "ext-destinations",
         "Destination-count scaling (paper §5)",
         Metric::DelaySecs,
@@ -408,16 +329,23 @@ pub fn ext_destinations(opts: FigOpts) -> FigureData {
     )
 }
 
+/// The MRAI = 1.25 s centre failure on 70-30 networks that
+/// [`ext_updown`] and [`ext_link_failures`] build their trials from.
+fn baseline_point(opts: FigOpts, fraction: f64) -> Experiment {
+    Experiment {
+        topology: TopologySpec::seventy_thirty(opts.nodes),
+        scheme: Scheme::constant_mrai(1.25),
+        failure: FailureSpec::CenterFraction(fraction),
+        trials: opts.trials,
+        base_seed: opts.base_seed,
+    }
+}
+
 /// Failure vs recovery convergence (the Tup/Tdown asymmetry of Labovitz
 /// et al. \[5\], which the paper builds on): for each failure size, measure
 /// the re-convergence after the failure (Tdown, with path hunting) and
 /// after the failed routers come back (Tup, monotone new information).
 pub fn ext_updown(opts: FigOpts) -> FigureData {
-    use crate::network::{Network, SimConfig};
-    use bgpsim_des::RngStreams;
-    use bgpsim_topology::region::FailureSpec;
-    use rand::Rng;
-
     let mut down_series = Series {
         name: "failure (Tdown)".into(),
         points: Vec::new(),
@@ -427,16 +355,12 @@ pub fn ext_updown(opts: FigOpts) -> FigureData {
         points: Vec::new(),
     };
     for &f in &EXT_FRACTIONS {
+        let exp = baseline_point(opts, f);
         let (mut down_sum, mut up_sum) = (0.0, 0.0);
         for trial in 0..opts.trials {
-            let streams = RngStreams::new(opts.base_seed);
-            let mut topo_rng = streams.stream("topology", u64::from(trial));
-            let topo = TopologySpec::seventy_thirty(opts.nodes).generate(&mut topo_rng);
-            let seed: u64 = streams.stream("sim-seed", u64::from(trial)).gen();
-            let cfg = SimConfig::from_scheme(&Scheme::constant_mrai(1.25), seed);
-            let mut net = Network::new(topo, cfg);
+            let mut net = exp.build_network(trial);
             net.run_initial_convergence();
-            let failed = net.inject_failure(&FailureSpec::CenterFraction(f));
+            let failed = net.inject_failure(&exp.failure);
             let down = net.run_to_quiescence();
             net.revive_routers(&failed);
             let up = net.run_to_quiescence();
@@ -464,10 +388,7 @@ pub fn ext_updown(opts: FigOpts) -> FigureData {
 /// link failures keep every prefix alive, so the re-convergence is pure
 /// rerouting without the withdrawal storms of dead destinations.
 pub fn ext_link_failures(opts: FigOpts) -> FigureData {
-    use crate::network::{Network, SimConfig};
-    use bgpsim_des::RngStreams;
-    use bgpsim_topology::region::{central_link_fraction, FailureSpec};
-    use rand::Rng;
+    use bgpsim_topology::region::central_link_fraction;
 
     let mut routers_series = Series {
         name: "router failures".into(),
@@ -478,21 +399,12 @@ pub fn ext_link_failures(opts: FigOpts) -> FigureData {
         points: Vec::new(),
     };
     for &f in &EXT_FRACTIONS {
+        let exp = baseline_point(opts, f);
         let (mut router_sum, mut link_sum) = (0.0, 0.0);
         for trial in 0..opts.trials {
-            let streams = RngStreams::new(opts.base_seed);
-            let mut topo_rng = streams.stream("topology", u64::from(trial));
-            let topo = TopologySpec::seventy_thirty(opts.nodes).generate(&mut topo_rng);
-            let seed: u64 = streams.stream("sim-seed", u64::from(trial)).gen();
-            let cfg = SimConfig::from_scheme(&Scheme::constant_mrai(1.25), seed);
+            router_sum += exp.run_trial(trial).convergence_delay.as_secs_f64();
 
-            let mut net = Network::new(topo.clone(), cfg.clone());
-            router_sum += net
-                .run_failure_experiment(&FailureSpec::CenterFraction(f))
-                .convergence_delay
-                .as_secs_f64();
-
-            let mut net = Network::new(topo, cfg);
+            let mut net = exp.build_network(trial);
             net.run_initial_convergence();
             let links = central_link_fraction(net.topology(), f);
             net.inject_link_failure(&links);
@@ -521,16 +433,15 @@ pub fn ext_link_failures(opts: FigOpts) -> FigureData {
 /// paper's batching under the same failures.
 pub fn ext_damping(opts: FigOpts) -> FigureData {
     use bgpsim_bgp::damping::DampingConfig;
-    let topo = TopologySpec::seventy_thirty(opts.nodes);
-    let entries = vec![
-        (Scheme::constant_mrai(2.25), topo.clone()),
-        (
+    let entries = on_topology(
+        TopologySpec::seventy_thirty(opts.nodes),
+        [
+            Scheme::constant_mrai(2.25),
             Scheme::constant_mrai(2.25).with_damping(DampingConfig::paper_scale()),
-            topo.clone(),
-        ),
-        (Scheme::batching(0.5).named("batching"), topo),
-    ];
-    sweep(
+            Scheme::batching(0.5).named("batching"),
+        ],
+    );
+    failure_sweep(
         "ext-damping",
         "Route-flap damping (RFC 2439) vs the paper's schemes",
         Metric::DelaySecs,
@@ -545,17 +456,16 @@ pub fn ext_damping(opts: FigOpts) -> FigureData {
 /// the session count but adds an intra-AS hop and a single point of
 /// failure per AS.
 pub fn ext_ibgp(opts: FigOpts) -> FigureData {
-    let topo = TopologySpec::realistic(opts.nodes);
-    let entries = vec![
-        (Scheme::constant_mrai(0.5).named("full mesh"), topo.clone()),
-        (
+    let entries = on_topology(
+        TopologySpec::realistic(opts.nodes),
+        [
+            Scheme::constant_mrai(0.5).named("full mesh"),
             Scheme::constant_mrai(0.5)
                 .with_route_reflection()
                 .named("route reflectors"),
-            topo,
-        ),
-    ];
-    sweep(
+        ],
+    );
+    failure_sweep(
         "ext-ibgp",
         "iBGP full mesh vs route reflection (RFC 4456)",
         Metric::DelaySecs,

@@ -149,18 +149,18 @@ impl FigOpts {
     }
 }
 
-/// Sweep failure sizes for a set of schemes on one topology family.
-fn failure_sweep(
+/// Sweeps failure sizes: one series per `(scheme, topology family)`
+/// entry, named after the scheme, with x = the failed percentage of nodes.
+pub(crate) fn failure_sweep(
     id: &str,
     title: &str,
     metric: Metric,
-    topology: TopologySpec,
-    schemes: &[Scheme],
+    entries: &[(Scheme, TopologySpec)],
     fractions: &[f64],
     opts: FigOpts,
 ) -> FigureData {
     let mut points: Vec<Experiment> = Vec::new();
-    for scheme in schemes {
+    for (scheme, topology) in entries {
         for &f in fractions {
             points.push(Experiment {
                 topology: topology.clone(),
@@ -172,10 +172,10 @@ fn failure_sweep(
         }
     }
     let aggs = run_all_parallel(&points, opts.threads);
-    let series = schemes
+    let series = entries
         .iter()
         .enumerate()
-        .map(|(si, scheme)| Series {
+        .map(|(si, (scheme, _))| Series {
             name: scheme.name.clone(),
             points: fractions
                 .iter()
@@ -191,6 +191,15 @@ fn failure_sweep(
         y_label: metric.label().into(),
         series,
     }
+}
+
+/// Pairs every scheme with one topology family: the entries of a
+/// [`failure_sweep`] whose curves all run on the same networks.
+pub(crate) fn on_topology(
+    topology: TopologySpec,
+    schemes: impl IntoIterator<Item = Scheme>,
+) -> Vec<(Scheme, TopologySpec)> {
+    schemes.into_iter().map(|s| (s, topology.clone())).collect()
 }
 
 /// Sweep MRAI values; one series per (label, topology, failure fraction).
@@ -247,12 +256,14 @@ pub fn fig01(opts: FigOpts) -> FigureData {
         "fig01",
         "Convergence delay for different sized failures",
         Metric::DelaySecs,
-        TopologySpec::seventy_thirty(opts.nodes),
-        &[
-            Scheme::constant_mrai(0.5),
-            Scheme::constant_mrai(1.25),
-            Scheme::constant_mrai(2.25),
-        ],
+        &on_topology(
+            TopologySpec::seventy_thirty(opts.nodes),
+            [
+                Scheme::constant_mrai(0.5),
+                Scheme::constant_mrai(1.25),
+                Scheme::constant_mrai(2.25),
+            ],
+        ),
         &FAILURE_FRACTIONS,
         opts,
     )
@@ -264,12 +275,14 @@ pub fn fig02(opts: FigOpts) -> FigureData {
         "fig02",
         "Number of generated messages for different MRAI values",
         Metric::Messages,
-        TopologySpec::seventy_thirty(opts.nodes),
-        &[
-            Scheme::constant_mrai(0.5),
-            Scheme::constant_mrai(1.25),
-            Scheme::constant_mrai(2.25),
-        ],
+        &on_topology(
+            TopologySpec::seventy_thirty(opts.nodes),
+            [
+                Scheme::constant_mrai(0.5),
+                Scheme::constant_mrai(1.25),
+                Scheme::constant_mrai(2.25),
+            ],
+        ),
         &FAILURE_FRACTIONS,
         opts,
     )
@@ -346,13 +359,15 @@ pub fn fig06(opts: FigOpts) -> FigureData {
         "fig06",
         "Effect of degree dependent MRAI",
         Metric::DelaySecs,
-        TopologySpec::seventy_thirty(opts.nodes),
-        &[
-            Scheme::degree_dependent(0.5, 2.25, 8),
-            Scheme::degree_dependent(2.25, 0.5, 8),
-            Scheme::constant_mrai(0.5),
-            Scheme::constant_mrai(2.25),
-        ],
+        &on_topology(
+            TopologySpec::seventy_thirty(opts.nodes),
+            [
+                Scheme::degree_dependent(0.5, 2.25, 8),
+                Scheme::degree_dependent(2.25, 0.5, 8),
+                Scheme::constant_mrai(0.5),
+                Scheme::constant_mrai(2.25),
+            ],
+        ),
         &FAILURE_FRACTIONS,
         opts,
     )
@@ -364,13 +379,15 @@ pub fn fig07(opts: FigOpts) -> FigureData {
         "fig07",
         "Effect of dynamic MRAI",
         Metric::DelaySecs,
-        TopologySpec::seventy_thirty(opts.nodes),
-        &[
-            Scheme::dynamic_default().named("dynamic"),
-            Scheme::constant_mrai(0.5),
-            Scheme::constant_mrai(1.25),
-            Scheme::constant_mrai(2.25),
-        ],
+        &on_topology(
+            TopologySpec::seventy_thirty(opts.nodes),
+            [
+                Scheme::dynamic_default().named("dynamic"),
+                Scheme::constant_mrai(0.5),
+                Scheme::constant_mrai(1.25),
+                Scheme::constant_mrai(2.25),
+            ],
+        ),
         &FAILURE_FRACTIONS,
         opts,
     )
@@ -382,13 +399,15 @@ pub fn fig08(opts: FigOpts) -> FigureData {
         "fig08",
         "Effect of upTh on convergence delay",
         Metric::DelaySecs,
-        TopologySpec::seventy_thirty(opts.nodes),
-        &[
-            Scheme::dynamic(&[0.5, 1.25, 2.25], 0.05, 0.0).named("upTh=0.05"),
-            Scheme::dynamic(&[0.5, 1.25, 2.25], 0.25, 0.0).named("upTh=0.25"),
-            Scheme::dynamic(&[0.5, 1.25, 2.25], 0.65, 0.0).named("upTh=0.65"),
-            Scheme::dynamic(&[0.5, 1.25, 2.25], 1.25, 0.0).named("upTh=1.25"),
-        ],
+        &on_topology(
+            TopologySpec::seventy_thirty(opts.nodes),
+            [
+                Scheme::dynamic(&[0.5, 1.25, 2.25], 0.05, 0.0).named("upTh=0.05"),
+                Scheme::dynamic(&[0.5, 1.25, 2.25], 0.25, 0.0).named("upTh=0.25"),
+                Scheme::dynamic(&[0.5, 1.25, 2.25], 0.65, 0.0).named("upTh=0.65"),
+                Scheme::dynamic(&[0.5, 1.25, 2.25], 1.25, 0.0).named("upTh=1.25"),
+            ],
+        ),
         &FAILURE_FRACTIONS,
         opts,
     )
@@ -400,13 +419,15 @@ pub fn fig09(opts: FigOpts) -> FigureData {
         "fig09",
         "Effect of downTh on convergence delay",
         Metric::DelaySecs,
-        TopologySpec::seventy_thirty(opts.nodes),
-        &[
-            Scheme::dynamic(&[0.5, 1.25, 2.25], 0.65, 0.0).named("downTh=0"),
-            Scheme::dynamic(&[0.5, 1.25, 2.25], 0.65, 0.05).named("downTh=0.05"),
-            Scheme::dynamic(&[0.5, 1.25, 2.25], 0.65, 0.2).named("downTh=0.2"),
-            Scheme::dynamic(&[0.5, 1.25, 2.25], 0.65, 0.5).named("downTh=0.5"),
-        ],
+        &on_topology(
+            TopologySpec::seventy_thirty(opts.nodes),
+            [
+                Scheme::dynamic(&[0.5, 1.25, 2.25], 0.65, 0.0).named("downTh=0"),
+                Scheme::dynamic(&[0.5, 1.25, 2.25], 0.65, 0.05).named("downTh=0.05"),
+                Scheme::dynamic(&[0.5, 1.25, 2.25], 0.65, 0.2).named("downTh=0.2"),
+                Scheme::dynamic(&[0.5, 1.25, 2.25], 0.65, 0.5).named("downTh=0.5"),
+            ],
+        ),
         &FAILURE_FRACTIONS,
         opts,
     )
@@ -419,14 +440,16 @@ pub fn fig10(opts: FigOpts) -> FigureData {
         "fig10",
         "Performance of batching scheme",
         Metric::DelaySecs,
-        TopologySpec::seventy_thirty(opts.nodes),
-        &[
-            Scheme::batching(0.5).named("batching"),
-            Scheme::dynamic_default().named("dynamic"),
-            Scheme::batching_plus_dynamic(),
-            Scheme::constant_mrai(0.5),
-            Scheme::constant_mrai(2.25),
-        ],
+        &on_topology(
+            TopologySpec::seventy_thirty(opts.nodes),
+            [
+                Scheme::batching(0.5).named("batching"),
+                Scheme::dynamic_default().named("dynamic"),
+                Scheme::batching_plus_dynamic(),
+                Scheme::constant_mrai(0.5),
+                Scheme::constant_mrai(2.25),
+            ],
+        ),
         &FAILURE_FRACTIONS,
         opts,
     )
@@ -438,12 +461,14 @@ pub fn fig11(opts: FigOpts) -> FigureData {
         "fig11",
         "Number of messages generated by the batching scheme",
         Metric::Messages,
-        TopologySpec::seventy_thirty(opts.nodes),
-        &[
-            Scheme::batching(0.5).named("batching"),
-            Scheme::constant_mrai(0.5),
-            Scheme::constant_mrai(2.25),
-        ],
+        &on_topology(
+            TopologySpec::seventy_thirty(opts.nodes),
+            [
+                Scheme::batching(0.5).named("batching"),
+                Scheme::constant_mrai(0.5),
+                Scheme::constant_mrai(2.25),
+            ],
+        ),
         &FAILURE_FRACTIONS,
         opts,
     )
@@ -483,13 +508,15 @@ pub fn fig13(opts: FigOpts) -> FigureData {
         "fig13",
         "Convergence delay of realistic topologies",
         Metric::DelaySecs,
-        TopologySpec::realistic(opts.nodes),
-        &[
-            Scheme::batching(0.5).named("batching"),
-            Scheme::dynamic(&[0.5, 1.25, 3.5], 0.65, 0.05).named("dynamic"),
-            Scheme::constant_mrai(0.5),
-            Scheme::constant_mrai(3.5),
-        ],
+        &on_topology(
+            TopologySpec::realistic(opts.nodes),
+            [
+                Scheme::batching(0.5).named("batching"),
+                Scheme::dynamic(&[0.5, 1.25, 3.5], 0.65, 0.05).named("dynamic"),
+                Scheme::constant_mrai(0.5),
+                Scheme::constant_mrai(3.5),
+            ],
+        ),
         &[0.01, 0.025, 0.05, 0.10],
         opts,
     )
@@ -550,8 +577,6 @@ pub fn fig_transient_routes(opts: FigOpts) -> FigureData {
 /// blocks in one event storm. Not part of [`all_figures`] — the goldens
 /// pin the paper's thirteen — the `fig_fulltable` bin drives it instead.
 pub fn fig_fulltable(opts: FigOpts, sizes: &[u32]) -> FigureData {
-    use bgpsim_des::RngStreams;
-    let scheme_base = Scheme::batching(0.5);
     let mut delay = Series {
         name: "convergence delay (s)".into(),
         points: Vec::new(),
@@ -561,27 +586,25 @@ pub fn fig_fulltable(opts: FigOpts, sizes: &[u32]) -> FigureData {
         points: Vec::new(),
     };
     for &size in sizes {
-        let scheme = scheme_base
-            .clone()
-            .with_full_table(crate::FullTableSpec::internet_like(size));
-        let spec = TopologySpec::seventy_thirty(opts.nodes);
+        let exp = Experiment {
+            topology: TopologySpec::seventy_thirty(opts.nodes),
+            scheme: Scheme::batching(0.5)
+                .with_full_table(crate::FullTableSpec::internet_like(size)),
+            failure: FailureSpec::CenterFraction(0.1),
+            trials: opts.trials,
+            base_seed: opts.base_seed,
+        };
         let mut delay_sum = 0.0;
         let mut transient_sum = 0u64;
         for trial in 0..opts.trials {
-            let streams = RngStreams::new(opts.base_seed);
-            let mut topo_rng = streams.stream("topology", u64::from(trial));
-            let topo = spec.generate(&mut topo_rng);
-            use rand::Rng;
-            let sim_seed: u64 = streams.stream("sim-seed", u64::from(trial)).gen();
-            let mut net =
-                crate::Network::new(topo, crate::SimConfig::from_scheme(&scheme, sim_seed));
+            let mut net = exp.build_network(trial);
             net.run_initial_convergence();
             // Trace only the storm's re-convergence, like
             // `Experiment::run_trial_traced`.
             net.set_trace_sink(crate::trace::TraceSink::memory(
                 crate::trace::DEFAULT_MEMORY_CAPACITY,
             ));
-            net.inject_burst_withdrawal(&FailureSpec::CenterFraction(0.1));
+            net.inject_burst_withdrawal(&exp.failure);
             let stats = net.run_to_quiescence();
             delay_sum += stats.convergence_delay.as_secs_f64();
             let events = net.take_trace_events();

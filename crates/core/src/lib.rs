@@ -14,8 +14,8 @@
 //!   MRAI (§4.3), batched update processing (§4.4) and their combination.
 //! * [`metrics`] — per-run statistics (convergence delay, message counts,
 //!   queue peaks) and cross-trial aggregation.
-//! * [`experiment`] — seeded multi-trial experiment runner with optional
-//!   parallel fan-out.
+//! * [`experiment`] — seeded multi-trial experiment runner with a parallel
+//!   batch runner that converges each shared pre-failure network once.
 //! * [`figures`] — one function per figure of the paper, returning exactly
 //!   the series the figure plots.
 //! * [`analysis`] — the related-work convergence-delay models (Labovitz,
@@ -67,12 +67,10 @@ pub mod scenario;
 pub mod scheme;
 mod shard;
 pub mod trace;
-pub mod warm;
 
-pub use experiment::{Aggregate, Experiment, TopologySpec};
+pub use experiment::{Aggregate, Experiment, TopologySpec, WarmStats};
 pub use metrics::RunStats;
 pub use network::{FullTableSpec, MemoryFootprint, Network, SimConfig};
 pub use scheme::Scheme;
 pub use shard::{ShardLoad, ShardPhaseTimings};
 pub use trace::{Timeline, TraceEvent, TraceSink};
-pub use warm::{NetworkSnapshot, SnapshotCache, SnapshotKey, WarmStats};

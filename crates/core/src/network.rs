@@ -79,7 +79,6 @@ pub enum DetectionMode {
     },
 }
 
-/// Simulation-wide configuration.
 /// Full-table workload: instead of the flat `prefixes_per_as` allocation
 /// (every AS originates exactly `k` prefixes), the table is a power-law-
 /// skewed per-AS block plan
@@ -116,10 +115,7 @@ impl FullTableSpec {
 pub struct SimConfig {
     /// One-way link delay (paper: 25 ms on all links).
     pub link_delay: SimDuration,
-    /// Delay between a failure and its detection by session peers.
-    pub detection_delay: SimDuration,
-    /// Failure-detection model (the fixed `detection_delay` applies in
-    /// [`DetectionMode::LinkLayer`]).
+    /// How session peers detect a failure, and after what delay.
     pub detection: DetectionMode,
     /// Prefixes originated per AS (paper: 1; the Internet holds thousands
     /// per AS — raising this scales the update load per failed AS, the
@@ -184,7 +180,6 @@ impl SimConfig {
     pub fn new(seed: u64) -> SimConfig {
         SimConfig {
             link_delay: SimDuration::from_millis(25),
-            detection_delay: SimDuration::ZERO,
             detection: DetectionMode::LinkLayer(SimDuration::ZERO),
             prefixes_per_as: 1,
             full_table: None,
@@ -225,7 +220,6 @@ impl SimConfig {
             cfg.wrate = v;
         }
         if let Some(v) = o.detection_delay {
-            cfg.detection_delay = v;
             cfg.detection = DetectionMode::LinkLayer(v);
         }
         if let Some(v) = o.hold_timer {
@@ -465,8 +459,8 @@ fn env_count(name: &str) -> Option<usize> {
 }
 
 /// Interns a node configuration in the network-level config arena: every
-/// node built from identical settings shares one allocation, and snapshot
-/// forks keep sharing it. A network has one to three distinct configs in
+/// node built from identical settings shares one allocation, and network
+/// clones keep sharing it. A network has one to three distinct configs in
 /// practice (the MRAI assignment is the only per-node part), so a linear
 /// equality scan beats any hashing.
 fn intern_node_config(arena: &mut Vec<Arc<NodeConfig>>, node_cfg: NodeConfig) -> Arc<NodeConfig> {
@@ -668,7 +662,9 @@ impl MemoryFootprint {
 /// scheduler's pending events, clock and counters — and continues
 /// bit-identically to the original. The interned `Arc<[AsId]>` AS paths
 /// make this cheap (refcount bumps instead of deep path copies); the
-/// warm-start sweep engine ([`crate::warm`]) builds on it.
+/// parallel batch runner
+/// ([`run_all_parallel`](crate::experiment::run_all_parallel)) forks each
+/// sweep's converged network this way.
 #[derive(Clone)]
 pub struct Network {
     pub(crate) topo: Topology,
@@ -1006,12 +1002,18 @@ impl Network {
     /// but the routers survive — the scenario the paper sets aside as
     /// unlikely for large-scale failures (§3.2), provided here to quantify
     /// the difference. Links inside an AS carry no session in this model
-    /// (iBGP is a TCP overlay) and are ignored.
+    /// (iBGP is a TCP overlay) and are ignored. Both ends detect the loss
+    /// after the [`DetectionMode::LinkLayer`] delay, and at once under
+    /// [`DetectionMode::HoldTimer`].
     ///
     /// Post-failure counters are reset, as in
     /// [`inject_failure`](Network::inject_failure).
     pub fn inject_link_failure(&mut self, links: &[bgpsim_topology::graph::Edge]) {
         let t_f = self.sched.now() + FAILURE_GAP;
+        let lag = match self.cfg.detection {
+            DetectionMode::LinkLayer(delay) => delay,
+            DetectionMode::HoldTimer { .. } => SimDuration::ZERO,
+        };
         let mut killed = 0usize;
         for e in links {
             let (a, b) = (e.a(), e.b());
@@ -1025,8 +1027,7 @@ impl Network {
             killed += 1;
             for (node, peer) in [(a, b), (b, a)] {
                 if self.is_alive(node) {
-                    self.sched
-                        .schedule(t_f + self.cfg.detection_delay, Ev::PeerDown { node, peer });
+                    self.sched.schedule(t_f + lag, Ev::PeerDown { node, peer });
                 }
             }
         }
@@ -1234,7 +1235,7 @@ impl Network {
             for &peer in &self.sessions[f.index()] {
                 if self.is_alive(peer) {
                     let lag = match self.cfg.detection {
-                        DetectionMode::LinkLayer(_) => self.cfg.detection_delay,
+                        DetectionMode::LinkLayer(delay) => delay,
                         DetectionMode::HoldTimer { hold } => {
                             // Keepalives every hold/3: the timer has between
                             // 2·hold/3 and hold left when the peer dies.
@@ -1389,15 +1390,6 @@ impl Network {
         self.run_to_quiescence()
     }
 
-    /// Captures the complete simulation state into a forkable
-    /// [`NetworkSnapshot`](crate::warm::NetworkSnapshot). Typically called
-    /// right after [`run_initial_convergence`](Network::run_initial_convergence)
-    /// so a whole failure sweep can fork the one converged state instead of
-    /// re-converging from cold per point.
-    pub fn snapshot(&self) -> crate::warm::NetworkSnapshot {
-        crate::warm::NetworkSnapshot::capture(self)
-    }
-
     /// Brings previously failed routers back: each revived router starts
     /// with empty tables, re-originates its prefixes, and re-establishes
     /// every session whose other end is alive (both ends perform the
@@ -1468,11 +1460,11 @@ impl Network {
     /// Drains the event queue.
     fn pump(&mut self) {
         // Keep node-level recording coherent with the sink before any
-        // handler runs: cloning a JSONL-traced network (warm-start forks)
-        // drops the sink — a byte stream must not be written by two
-        // networks — but the cloned nodes still carry their tracing
-        // flags, and without this sync their buffers would fill with no
-        // one draining them.
+        // handler runs: cloning a JSONL-traced network (the parallel
+        // runner's forks) drops the sink — a byte stream must not be
+        // written by two networks — but the cloned nodes still carry
+        // their tracing flags, and without this sync their buffers would
+        // fill with no one draining them.
         let tracing = !self.trace.is_off();
         for node in self.nodes.iter_mut().flatten() {
             node.set_tracing(tracing);
@@ -1484,7 +1476,7 @@ impl Network {
         // While sharded, `self.sched` is empty — pending events live in
         // the shard-owned FELs — but its id allocation and delivery
         // accounting still advance in serial order, so at quiescence the
-        // scheduler's counters (and any snapshot taken of them) are
+        // scheduler's counters (and any clone taken of them) are
         // identical to a serial run's.
         if self.shards > 1 && self.sample_interval.is_none() && !self.cfg.link_delay.is_zero() {
             crate::shard::pump_sharded(self);
@@ -2417,5 +2409,106 @@ mod tests {
         let stats = net.run_failure_experiment(&FailureSpec::CenterFraction(0.1));
         assert!(stats.messages > 0);
         net.assert_routing_consistent();
+    }
+
+    fn converged(seed: u64) -> Network {
+        let cfg = SimConfig::from_scheme(&Scheme::constant_mrai(0.5), seed);
+        let mut net = Network::new(small_topo(seed, 20), cfg);
+        net.run_initial_convergence();
+        net
+    }
+
+    #[test]
+    fn clone_shares_allocations_with_the_original() {
+        // The arena claim of DESIGN.md §12: cloning a converged network is
+        // a refcount transaction, not a deep copy. Every clone shares the
+        // interned node-config allocations and the `Arc<[AsId]>` path
+        // storage with the original — witnessed by pointer equality, not
+        // just value equality.
+        let net = converged(21);
+        let fork = net.clone();
+        let mut routes = 0usize;
+        for r in net.topology().router_ids() {
+            let (a, b) = (net.node(r).unwrap(), fork.node(r).unwrap());
+            assert!(
+                a.shares_config_allocation(b),
+                "clone deep-copied the config of {r}"
+            );
+            for (prefix, sel) in a.loc_rib().iter() {
+                let other = b.loc_rib().get(prefix).expect("clone lost a route");
+                assert!(
+                    sel.path.ptr_eq(&other.path),
+                    "clone deep-copied the path for {prefix} at {r}"
+                );
+                routes += 1;
+            }
+        }
+        assert!(routes > 0, "converged network must hold routes");
+    }
+
+    #[test]
+    fn clone_continues_bit_identically_to_original() {
+        let mut original = converged(11);
+        let mut fork = original.clone();
+        let failure = FailureSpec::CenterFraction(0.1);
+        original.inject_failure(&failure);
+        fork.inject_failure(&failure);
+        assert_eq!(original.run_to_quiescence(), fork.run_to_quiescence());
+    }
+
+    #[test]
+    fn clone_copies_memory_traces_and_drops_jsonl_sinks() {
+        use crate::trace::{to_jsonl, TraceSink};
+        let failure = FailureSpec::CenterFraction(0.1);
+
+        // Memory sinks: each clone owns the buffered prefix, and two
+        // clones of one traced network record identical continuations.
+        let mut traced = converged(16);
+        traced.set_trace_sink(TraceSink::memory(1 << 20));
+        let run = || {
+            let mut n = traced.clone();
+            n.inject_failure(&failure);
+            n.run_to_quiescence();
+            to_jsonl(&n.take_trace_events())
+        };
+        let (a, b) = (run(), run());
+        assert!(!a.is_empty());
+        assert_eq!(a, b, "memory-traced clones must trace identically");
+
+        // JSONL sinks: the clone degrades to Off (a byte stream must not
+        // be written by two networks), node flags re-sync on the next
+        // run, and the untraced clone still converges like the original.
+        let mut streamed = converged(16);
+        streamed.set_trace_sink(TraceSink::jsonl(Box::new(std::io::sink())));
+        let mut fork = streamed.clone();
+        assert!(fork.trace_sink().is_off(), "JSONL sink must not be cloned");
+        fork.inject_failure(&failure);
+        let forked_stats = fork.run_to_quiescence();
+        assert!(fork.take_trace_events().is_empty());
+
+        let mut untraced = converged(16);
+        untraced.inject_failure(&failure);
+        assert_eq!(forked_stats, untraced.run_to_quiescence());
+    }
+
+    #[test]
+    fn link_layer_detection_delay_shifts_reconvergence() {
+        // The delay lives in `DetectionMode::LinkLayer` alone: setting the
+        // mode must be enough to hold back every peer-down event.
+        let run = |delay: SimDuration| {
+            let mut cfg = SimConfig::from_scheme(&Scheme::constant_mrai(0.5), 12);
+            cfg.detection = DetectionMode::LinkLayer(delay);
+            let mut net = Network::new(small_topo(12, 30), cfg);
+            net.run_failure_experiment(&FailureSpec::CenterFraction(0.1))
+        };
+        let instant = run(SimDuration::ZERO);
+        let delayed = run(SimDuration::from_secs(2));
+        assert!(
+            delayed.convergence_delay >= instant.convergence_delay + SimDuration::from_secs(2),
+            "a 2 s link-layer delay must push re-convergence out by 2 s \
+             (instant {}, delayed {})",
+            instant.convergence_delay,
+            delayed.convergence_delay
+        );
     }
 }

@@ -87,11 +87,11 @@
 //! walk (= serial) order. The union of the shard FELs and outboxes at
 //! every epoch boundary is therefore the exact event set a serial run's
 //! scheduler would hold, with the same keys, which carries the invariant
-//! into the next epoch — and makes `RunStats`, goldens, warm-start
-//! snapshots and trace streams independent of the shard count. At pump
-//! exit the shard FELs are empty, the walk has settled all clock and
-//! counter accounting on the (now empty) central FEL, and the network is
-//! indistinguishable from one a serial pump quiesced.
+//! into the next epoch — and makes `RunStats`, goldens, clones of a
+//! converged network and trace streams independent of the shard count.
+//! At pump exit the shard FELs are empty, the walk has settled all clock
+//! and counter accounting on the (now empty) central FEL, and the network
+//! is indistinguishable from one a serial pump quiesced.
 //!
 //! An event landing exactly on an epoch boundary is *not* drained (the
 //! window is half-open) and is delivered in the next epoch, exactly where

@@ -131,10 +131,12 @@ pub enum TraceSink {
 }
 
 /// Cloning a network must not duplicate a byte stream: a [`Memory`] sink
-/// deep-clones (the fork replays the prototype's history exactly, so the
+/// deep-clones (the clone replays the original's history exactly, so the
 /// carried prefix stays bit-accurate), while a [`Jsonl`] sink clones to
-/// [`Off`] — two writers interleaving one stream would corrupt it. See
-/// `warm::NetworkSnapshot` for the fork semantics.
+/// [`Off`] — two writers interleaving one stream would corrupt it. A
+/// clone of a JSONL-traced network therefore runs untraced (its nodes'
+/// recording flags re-sync to the sink when it next runs); attach a
+/// fresh sink to stream it.
 ///
 /// [`Memory`]: TraceSink::Memory
 /// [`Jsonl`]: TraceSink::Jsonl

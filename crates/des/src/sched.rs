@@ -57,10 +57,9 @@ impl<E> Default for Scheduler<E> {
 
 /// Cloning a scheduler captures its complete state — pending events, the
 /// clock, the id counter, and the lifetime counters — so a simulation can
-/// be snapshotted at a quiescent point and forked: the clone delivers
-/// exactly the events (and event ids) the original would, byte for byte.
-/// This is the capture/restore primitive behind the warm-start sweep
-/// engine in `bgpsim::warm`.
+/// be forked at a quiescent point: the clone delivers exactly the events
+/// (and event ids) the original would, byte for byte. The parallel
+/// experiment runner in `bgpsim` forks converged networks this way.
 impl<E: Clone> Clone for Scheduler<E> {
     fn clone(&self) -> Self {
         Scheduler {

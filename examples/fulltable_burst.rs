@@ -60,8 +60,13 @@ fn main() -> std::io::Result<()> {
 
     let scheme = Scheme::batching(0.5).with_full_table(FullTableSpec::internet_like(table));
     let mut rng = SmallRng::seed_from_u64(seed);
-    let topo = skewed_topology(nodes, &SkewedSpec::seventy_thirty(), &mut rng)
-        .expect("70-30 topology is realizable");
+    let topo = match skewed_topology(nodes, &SkewedSpec::seventy_thirty(), &mut rng) {
+        Ok(topo) => topo,
+        Err(e) => {
+            eprintln!("error: BGPSIM_NODES={nodes}: cannot draw a 70-30 topology: {e}");
+            std::process::exit(1);
+        }
+    };
     let mut net = Network::new(topo, SimConfig::from_scheme(&scheme, seed));
 
     println!(

@@ -46,8 +46,13 @@ fn main() -> std::io::Result<()> {
     // dynamic-MRAI controller.
     let scheme = Scheme::batching_plus_dynamic();
     let mut rng = SmallRng::seed_from_u64(seed);
-    let topo = skewed_topology(nodes, &SkewedSpec::seventy_thirty(), &mut rng)
-        .expect("70-30 topology is realizable");
+    let topo = match skewed_topology(nodes, &SkewedSpec::seventy_thirty(), &mut rng) {
+        Ok(topo) => topo,
+        Err(e) => {
+            eprintln!("error: BGPSIM_NODES={nodes}: cannot draw a 70-30 topology: {e}");
+            std::process::exit(1);
+        }
+    };
     let cfg = SimConfig::from_scheme(&scheme, seed);
     let mean_processing = (cfg.proc_min + cfg.proc_max).mul_f64(0.5);
     let mut net = Network::new(topo, cfg);

@@ -2,7 +2,7 @@
 //! BGP convergence → failure → re-convergence, verified against
 //! ground-truth reachability.
 
-use bgpsim::network::{Network, SimConfig};
+use bgpsim::network::{DetectionMode, Network, SimConfig};
 use bgpsim::scheme::Scheme;
 use bgpsim_bgp::mrai::MraiScope;
 use bgpsim_bgp::Prefix;
@@ -99,7 +99,7 @@ fn jitter_off_still_converges() {
 fn detection_delay_shifts_convergence() {
     let run = |detection_ms: u64| {
         let mut cfg = SimConfig::from_scheme(&Scheme::constant_mrai(2.25), 14);
-        cfg.detection_delay = SimDuration::from_millis(detection_ms);
+        cfg.detection = DetectionMode::LinkLayer(SimDuration::from_millis(detection_ms));
         let mut net = Network::new(topo(6, 40), cfg);
         net.run_failure_experiment(&FailureSpec::CenterFraction(0.10))
     };

@@ -1,17 +1,18 @@
-//! Property test: warm-started trials are bit-identical to cold runs.
+//! Property test: the parallel runner's forked trials are bit-identical to
+//! cold runs.
 //!
-//! The warm-start sweep engine (`bgpsim::warm`) forks converged networks
-//! from a shared snapshot instead of re-running initial convergence per
-//! figure point. Its contract is exact determinism: for any topology
-//! size, seed and failure fraction, and for each of the paper's three
-//! scheme families (constant MRAI, batching, dynamic MRAI), the forked
-//! run's `RunStats` must equal the cold run's field for field — both on
-//! the cache-miss path (snapshot built, then forked) and on the
-//! cache-hit path (pure fork of an existing snapshot).
+//! The batch runner (`run_all_parallel_timed`) converges each pre-failure
+//! network that several points share once, then hands every trial a clone
+//! of it, or the network itself to its last trial, instead of re-running
+//! initial convergence per figure point. Its contract is exact
+//! determinism: for any topology size and seed, and for each of the
+//! paper's three scheme families (constant MRAI, batching, dynamic MRAI),
+//! every trial's `RunStats` must equal a cold `Experiment::run_trial`
+//! field for field. One batch of three failure sizes per scheme takes all
+//! three paths: build, clone and move.
 
-use bgpsim::experiment::{Experiment, TopologySpec};
+use bgpsim::experiment::{run_all_parallel_timed, Experiment, TopologySpec};
 use bgpsim::scheme::Scheme;
-use bgpsim::warm::SnapshotCache;
 use bgpsim_topology::region::FailureSpec;
 use proptest::prelude::*;
 
@@ -24,36 +25,38 @@ fn schemes() -> [Scheme; 3] {
 }
 
 proptest! {
-    // Each case runs 3 schemes × (1 cold + 2 warm) full simulations;
-    // keep the count low and the networks small.
+    // Each case runs 3 schemes × 3 failure sizes through the runner and
+    // again cold; keep the count low and the networks small.
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     #[test]
     fn warm_forks_are_bit_identical_across_schemes(
         nodes in 15usize..30,
         base_seed in 0u64..10_000,
-        fraction_idx in 0usize..3,
     ) {
-        let fraction = [0.05, 0.10, 0.20][fraction_idx];
-        for scheme in schemes() {
-            let exp = Experiment {
-                topology: TopologySpec::seventy_thirty(nodes),
-                scheme,
-                failure: FailureSpec::CenterFraction(fraction),
-                trials: 1,
-                base_seed,
-            };
-            let cold = exp.run_trial(0);
-            let cache = SnapshotCache::new();
-            // Miss path: builds the snapshot, then forks it.
-            let warm_built = exp.run_trial_warm(0, &cache);
-            // Hit path: pure fork of the cached snapshot.
-            let warm_forked = exp.run_trial_warm(0, &cache);
-            prop_assert_eq!(cold, warm_built, "build-path diverged: {}", exp.scheme.name);
-            prop_assert_eq!(cold, warm_forked, "fork-path diverged: {}", exp.scheme.name);
-            let stats = cache.stats();
-            prop_assert_eq!(stats.builds, 1);
-            prop_assert_eq!(stats.forks, 2);
+        let points: Vec<Experiment> = schemes()
+            .into_iter()
+            .flat_map(|scheme| {
+                [0.05, 0.10, 0.20].map(|fraction| Experiment {
+                    topology: TopologySpec::seventy_thirty(nodes),
+                    scheme: scheme.clone(),
+                    failure: FailureSpec::CenterFraction(fraction),
+                    trials: 1,
+                    base_seed,
+                })
+            })
+            .collect();
+        let (aggregates, report) = run_all_parallel_timed(&points, Some(2));
+        for (exp, agg) in points.iter().zip(&aggregates) {
+            prop_assert_eq!(
+                &agg.runs,
+                &vec![exp.run_trial(0)],
+                "forked trial diverged: {} at {:?}",
+                &exp.scheme.name,
+                exp.failure
+            );
         }
+        let warm = report.warm.expect("the runner reports prototype sharing");
+        prop_assert_eq!((warm.builds, warm.hits, warm.forks), (3, 6, 9));
     }
 }
