@@ -6,7 +6,7 @@ fn main() {
     let opts = bgpsim_bench::opts_from_env();
     let only = bgpsim_bench::only_filter();
     let total = Instant::now();
-    for (id, figure) in bgpsim::figures::all_figures() {
+    for (id, figure, _) in bgpsim::figures::all_figures() {
         if !bgpsim_bench::selected(&only, id) {
             continue;
         }

@@ -1,4 +1,4 @@
 //! Regenerates Figure 04 of the paper. See `bgpsim::figures::fig04`.
 fn main() {
-    bgpsim_bench::run_and_print(bgpsim::figures::fig04);
+    bgpsim_bench::run_and_print("fig04");
 }

@@ -1,4 +1,4 @@
 //! Regenerates Figure 05 of the paper. See `bgpsim::figures::fig05`.
 fn main() {
-    bgpsim_bench::run_and_print(bgpsim::figures::fig05);
+    bgpsim_bench::run_and_print("fig05");
 }

@@ -1,4 +1,4 @@
 //! Regenerates Figure 09 of the paper. See `bgpsim::figures::fig09`.
 fn main() {
-    bgpsim_bench::run_and_print(bgpsim::figures::fig09);
+    bgpsim_bench::run_and_print("fig09");
 }

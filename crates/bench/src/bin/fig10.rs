@@ -1,4 +1,4 @@
 //! Regenerates Figure 10 of the paper. See `bgpsim::figures::fig10`.
 fn main() {
-    bgpsim_bench::run_and_print(bgpsim::figures::fig10);
+    bgpsim_bench::run_and_print("fig10");
 }

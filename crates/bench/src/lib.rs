@@ -19,14 +19,10 @@ use std::str::FromStr;
 use std::time::Instant;
 
 use bgpsim::experiment::{Experiment, TopologySpec};
-use bgpsim::figures::{FigOpts, FigureData};
+use bgpsim::figures::{all_figures, Family, FigOpts, FigureData};
 use bgpsim::report::{render_csv, render_table};
 use bgpsim::scheme::Scheme;
 use bgpsim_topology::region::FailureSpec;
-
-/// A topology family: its name for error messages and its preset
-/// constructor.
-pub type Family = (&'static str, fn(usize) -> TopologySpec);
 
 /// Every topology family the figure and extension experiments draw.
 const FIGURE_FAMILIES: [Family; 6] = [
@@ -122,10 +118,20 @@ pub fn selected(only: &[String], id: &str) -> bool {
     only.is_empty() || only.iter().any(|o| o == id)
 }
 
-/// Regenerates a figure, prints its table, and (if `BGPSIM_OUT` is set)
-/// writes `figNN.txt`, `figNN.csv` and `figNN.json` into that directory.
-pub fn run_and_print(figure: fn(FigOpts) -> FigureData) {
-    let opts = opts_from_env();
+/// Regenerates figure `id` of [`all_figures`], with the sizing checked
+/// against the topology families that figure draws; prints its table, and
+/// (if `BGPSIM_OUT` is set) writes `figNN.txt`, `figNN.csv` and
+/// `figNN.json` into that directory.
+///
+/// # Panics
+///
+/// Panics if `id` names no figure.
+pub fn run_and_print(id: &str) {
+    let (_, figure, families) = all_figures()
+        .into_iter()
+        .find(|&(fig, _, _)| fig == id)
+        .unwrap_or_else(|| panic!("no figure {id}"));
+    let opts = opts_from_env_for(families);
     let started = Instant::now();
     let data = figure(opts);
     let table = render_table(&data);

@@ -182,6 +182,9 @@ fn figure_bins_reject_bad_sizing_without_panicking() {
         (fig01, "BGPSIM_NODES", "8"),
         (fig01, "BGPSIM_TRIALS", "x"),
         (fig01, "BGPSIM_TRIALS", "0"),
+        // Fig 5 draws the dense 50-50 family, which 20 nodes cannot
+        // realise at the default seed.
+        (env!("CARGO_BIN_EXE_fig05"), "BGPSIM_NODES", "20"),
         (
             env!("CARGO_BIN_EXE_fig_fulltable"),
             "BGPSIM_TABLE_SIZES",
@@ -205,4 +208,22 @@ fn figure_bins_reject_bad_sizing_without_panicking() {
             "{name}={value} panicked: {text}"
         );
     }
+}
+
+#[test]
+fn figure_bins_check_only_the_families_they_draw() {
+    // Fig 1 draws only 70-30, which 20 nodes realise at the default seed,
+    // so the dense 50-50 family that Fig 5 needs must not veto it.
+    let out = Command::new(env!("CARGO_BIN_EXE_fig01"))
+        .env_remove("BGPSIM_OUT")
+        .env_remove("BGPSIM_SEED")
+        .env("BGPSIM_NODES", "20")
+        .env("BGPSIM_TRIALS", "1")
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "fig01 at 20 nodes: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

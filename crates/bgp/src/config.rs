@@ -31,7 +31,8 @@ impl Default for MraiPolicy {
 ///
 /// Build with [`NodeConfig::builder`]; defaults reproduce the paper's
 /// SSFNet setup (§3.2): per-peer jittered MRAI, FIFO update processing with
-/// U(1, 30) ms service times, no withdrawal rate limiting, zero iBGP MRAI.
+/// U(1, 30) ms service times, no withdrawal rate limiting. iBGP sessions
+/// are never MRAI-paced.
 ///
 /// ```
 /// use bgpsim_bgp::NodeConfig;
@@ -50,8 +51,6 @@ pub struct NodeConfig {
     pub mrai: MraiPolicy,
     /// MRAI scope (per peer vs per destination).
     pub mrai_scope: MraiScope,
-    /// MRAI applied to iBGP sessions (typically zero).
-    pub ibgp_mrai: SimDuration,
     /// Jitter timers per RFC 1771 (multiply by U(0.75, 1.0)).
     pub jitter: bool,
     /// Rate-limit withdrawals too (SSFNet's WRATE; off by default).
@@ -86,7 +85,6 @@ impl Default for NodeConfig {
         NodeConfig {
             mrai: MraiPolicy::default(),
             mrai_scope: MraiScope::PerPeer,
-            ibgp_mrai: SimDuration::ZERO,
             jitter: true,
             withdrawal_rate_limiting: false,
             proc_min: SimDuration::from_millis(1),
@@ -157,12 +155,6 @@ impl NodeConfigBuilder {
         self
     }
 
-    /// Sets the iBGP-session MRAI.
-    pub fn ibgp_mrai(mut self, mrai: SimDuration) -> NodeConfigBuilder {
-        self.cfg.ibgp_mrai = mrai;
-        self
-    }
-
     /// Enables or disables RFC 1771 timer jitter.
     pub fn jitter(mut self, on: bool) -> NodeConfigBuilder {
         self.cfg.jitter = on;
@@ -172,13 +164,6 @@ impl NodeConfigBuilder {
     /// Enables or disables withdrawal rate limiting (WRATE).
     pub fn withdrawal_rate_limiting(mut self, on: bool) -> NodeConfigBuilder {
         self.cfg.withdrawal_rate_limiting = on;
-        self
-    }
-
-    /// Sets the uniform processing-delay bounds.
-    pub fn processing_delay(mut self, min: SimDuration, max: SimDuration) -> NodeConfigBuilder {
-        self.cfg.proc_min = min;
-        self.cfg.proc_max = max;
         self
     }
 
@@ -237,7 +222,6 @@ mod tests {
         assert_eq!(cfg.proc_min, SimDuration::from_millis(1));
         assert_eq!(cfg.proc_max, SimDuration::from_millis(30));
         assert_eq!(cfg.queue, QueueDiscipline::Fifo);
-        assert_eq!(cfg.ibgp_mrai, SimDuration::ZERO);
         assert!(!cfg.expedite_improvements);
         assert_eq!(cfg.policy, PolicyMode::None);
         assert!(cfg.damping.is_none());
@@ -254,28 +238,27 @@ mod tests {
     fn builder_sets_fields() {
         let cfg = NodeConfig::builder()
             .mrai_constant(SimDuration::from_millis(1250))
-            .ibgp_mrai(SimDuration::from_millis(100))
             .jitter(false)
             .withdrawal_rate_limiting(true)
-            .processing_delay(SimDuration::from_millis(2), SimDuration::from_millis(5))
             .queue(QueueDiscipline::TcpBatch { buffer: 16 })
             .build();
         assert_eq!(
             cfg.mrai,
             MraiPolicy::Constant(SimDuration::from_millis(1250))
         );
-        assert_eq!(cfg.ibgp_mrai, SimDuration::from_millis(100));
         assert!(!cfg.jitter);
         assert!(cfg.withdrawal_rate_limiting);
-        assert_eq!(cfg.mean_processing(), SimDuration::from_micros(3_500));
         assert_eq!(cfg.queue, QueueDiscipline::TcpBatch { buffer: 16 });
     }
 
     #[test]
     #[should_panic(expected = "bounds out of order")]
     fn builder_rejects_bad_processing_bounds() {
-        let _ = NodeConfig::builder()
-            .processing_delay(SimDuration::from_millis(30), SimDuration::from_millis(1))
-            .build();
+        NodeConfig {
+            proc_min: SimDuration::from_millis(30),
+            proc_max: SimDuration::from_millis(1),
+            ..NodeConfig::default()
+        }
+        .validate();
     }
 }

@@ -552,13 +552,8 @@ impl BgpNode {
     /// [`originate`](Self::originate). The zero-hop local route leaves the
     /// Loc-RIB, the best learned route (if any) takes over, and every peer
     /// hears the change (withdrawal or replacement) subject to MRAI. A
-    /// no-op if the prefix is not currently originated here.
-    pub fn withdraw_origin(&mut self, now: SimTime, prefix: Prefix) -> Vec<Action> {
-        collect(|out| self.withdraw_origin_into(now, prefix, out))
-    }
-
-    /// [`withdraw_origin`](Self::withdraw_origin), appending the actions
-    /// to `out`.
+    /// no-op if the prefix is not currently originated here. Appends the
+    /// actions to `out`.
     pub fn withdraw_origin_into(&mut self, now: SimTime, prefix: Prefix, out: &mut Vec<Action>) {
         if !self.own_prefixes.remove(&prefix) {
             return;
@@ -1367,31 +1362,30 @@ impl BgpNode {
     }
 
     /// The jittered MRAI interval for the next timer towards `peer`, or
-    /// `None` if the effective MRAI is zero (no pacing).
+    /// `None` if the effective MRAI is zero (no pacing). iBGP sessions are
+    /// never paced, and answer before any controller reading or RNG draw.
     fn next_mrai_interval(&mut self, now: SimTime, peer: RouterId) -> Option<SimDuration> {
-        let ibgp = self.peers.get(peer)?.ibgp;
-        let base = if ibgp {
-            self.cfg.ibgp_mrai
-        } else {
-            match &self.cfg.mrai {
-                MraiPolicy::Constant(d) => *d,
-                MraiPolicy::Dynamic(_) => {
-                    let pending = self.queue.len() + self.in_service.len();
-                    let ctrl = self
-                        .dyn_ctrl
-                        .as_mut()
-                        .expect("dynamic policy has controller");
-                    let shift = ctrl.evaluate(now, pending);
-                    let mrai = ctrl.current_mrai();
-                    if let Some(s) = shift {
-                        self.trace_push(NodeEvent::MraiLevel {
-                            from: s.from,
-                            to: s.to,
-                            reading: s.reading,
-                        });
-                    }
-                    mrai
+        if self.peers.get(peer)?.ibgp {
+            return None;
+        }
+        let base = match &self.cfg.mrai {
+            MraiPolicy::Constant(d) => *d,
+            MraiPolicy::Dynamic(_) => {
+                let pending = self.queue.len() + self.in_service.len();
+                let ctrl = self
+                    .dyn_ctrl
+                    .as_mut()
+                    .expect("dynamic policy has controller");
+                let shift = ctrl.evaluate(now, pending);
+                let mrai = ctrl.current_mrai();
+                if let Some(s) = shift {
+                    self.trace_push(NodeEvent::MraiLevel {
+                        from: s.from,
+                        to: s.to,
+                        reading: s.reading,
+                    });
                 }
+                mrai
             }
         };
         if base.is_zero() {
@@ -1890,10 +1884,14 @@ mod tests {
             UpdateMsg::advertise(pfx(0), AsPath::from_hops([asn(0)])),
         );
         assert!(
+            sends(&acts).iter().any(|(to, _)| *to == rid(10)),
+            "the route goes to the iBGP peer"
+        );
+        assert!(
             !acts
                 .iter()
                 .any(|a| matches!(a, Action::StartMrai { peer, .. } if *peer == rid(10))),
-            "zero iBGP MRAI must not start timers"
+            "iBGP sessions must not start MRAI timers"
         );
     }
 

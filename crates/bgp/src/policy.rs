@@ -90,50 +90,6 @@ pub fn may_export(route_rank: u8, to: Relationship) -> bool {
     route_rank == RANK_CUSTOMER || to == Relationship::Customer
 }
 
-/// Derives the relationship of `neighbor_degree` towards a node of
-/// `own_degree` from the degree heuristic the literature uses on inferred
-/// AS graphs: the bigger AS is the provider; equals are peers.
-pub fn relationship_by_degree(own_degree: usize, neighbor_degree: usize) -> Relationship {
-    use std::cmp::Ordering::*;
-    match neighbor_degree.cmp(&own_degree) {
-        Greater => Relationship::Provider,
-        Less => Relationship::Customer,
-        Equal => Relationship::Peer,
-    }
-}
-
-/// Relationship inference for whole networks: bigger degree is the
-/// provider; *top-tier* ties (degree ≥ `hub_degree`) are settlement-free
-/// peers; lower ties are oriented by id (lower id provides) so the
-/// hierarchy stays connected. Pure degree-tie peering (the naive rule)
-/// fragments synthetic topologies into tiny valley-free islands — real AS
-/// graphs are mostly customer-provider edges with peering confined to the
-/// top tier.
-///
-/// The function is antisymmetric: swapping the two nodes yields the
-/// [`inverse`](Relationship::inverse) relationship, so both session ends
-/// agree.
-pub fn infer_relationship(
-    own: (usize, u32),
-    neighbor: (usize, u32),
-    hub_degree: usize,
-) -> Relationship {
-    use std::cmp::Ordering::*;
-    let ((own_deg, own_id), (nb_deg, nb_id)) = (own, neighbor);
-    match nb_deg.cmp(&own_deg) {
-        Greater => Relationship::Provider,
-        Less => Relationship::Customer,
-        Equal if own_deg >= hub_degree => Relationship::Peer,
-        Equal => {
-            if nb_id < own_id {
-                Relationship::Provider
-            } else {
-                Relationship::Customer
-            }
-        }
-    }
-}
-
 /// Relationship from hierarchy *tiers* (distance from the top tier):
 /// the lower-tier (closer-to-top) neighbor is the provider; equal tiers
 /// peer. Used with tiers computed as BFS depth from the maximum-degree
@@ -190,39 +146,8 @@ mod tests {
     }
 
     #[test]
-    fn degree_heuristic() {
-        assert_eq!(relationship_by_degree(2, 10), Relationship::Provider);
-        assert_eq!(relationship_by_degree(10, 2), Relationship::Customer);
-        assert_eq!(relationship_by_degree(5, 5), Relationship::Peer);
-    }
-
-    #[test]
     fn default_mode_is_none() {
         assert_eq!(PolicyMode::default(), PolicyMode::None);
-    }
-
-    #[test]
-    fn inference_orients_by_degree_then_id() {
-        // Degree decides first.
-        assert_eq!(
-            infer_relationship((2, 0), (10, 1), 10),
-            Relationship::Provider
-        );
-        assert_eq!(
-            infer_relationship((10, 1), (2, 0), 10),
-            Relationship::Customer
-        );
-        // Hub-tier ties peer.
-        assert_eq!(infer_relationship((10, 0), (10, 1), 10), Relationship::Peer);
-        // Lower-tier ties orient by id: lower id provides.
-        assert_eq!(
-            infer_relationship((3, 5), (3, 2), 10),
-            Relationship::Provider
-        );
-        assert_eq!(
-            infer_relationship((3, 2), (3, 5), 10),
-            Relationship::Customer
-        );
     }
 
     #[test]
@@ -235,20 +160,5 @@ mod tests {
             relationship_by_tier(3, 0),
             relationship_by_tier(0, 3).inverse()
         );
-    }
-
-    #[test]
-    fn inference_is_antisymmetric() {
-        for (a, b, hub) in [
-            ((1usize, 0u32), (5usize, 9u32), 5usize),
-            ((4, 3), (4, 7), 9),
-            ((9, 1), (9, 2), 9),
-        ] {
-            assert_eq!(
-                infer_relationship(a, b, hub),
-                infer_relationship(b, a, hub).inverse(),
-                "ends disagree for {a:?} vs {b:?}"
-            );
-        }
     }
 }

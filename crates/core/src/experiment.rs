@@ -10,8 +10,8 @@
 //! only once.
 
 use bgpsim_des::RngStreams;
-use bgpsim_topology::degree::{DegreeSpec, SkewedSpec};
-use bgpsim_topology::generators::{hierarchical, topology_from_spec, HierarchicalParams};
+use bgpsim_topology::degree::SkewedSpec;
+use bgpsim_topology::generators::{hierarchical, skewed_topology, HierarchicalParams};
 use bgpsim_topology::multias::{generate_multi_as, MultiAsConfig};
 use bgpsim_topology::region::FailureSpec;
 use bgpsim_topology::{Topology, TopologyError};
@@ -36,13 +36,6 @@ pub enum TopologySpec {
         n: usize,
         /// The degree distribution.
         spec: SkewedSpec,
-    },
-    /// Single-router-per-AS with any degree distribution.
-    FromDegrees {
-        /// Number of ASes/routers.
-        n: usize,
-        /// The degree distribution.
-        spec: DegreeSpec,
     },
     /// Multi-router-per-AS ("realistic", §3.1/Fig 13).
     MultiAs(MultiAsConfig),
@@ -113,10 +106,7 @@ impl TopologySpec {
     /// family and the seed).
     pub fn try_generate(&self, rng: &mut impl Rng) -> Result<Topology, TopologyError> {
         match self {
-            TopologySpec::Skewed { n, spec } => {
-                topology_from_spec(*n, &DegreeSpec::Skewed(spec.clone()), rng)
-            }
-            TopologySpec::FromDegrees { n, spec } => topology_from_spec(*n, spec, rng),
+            TopologySpec::Skewed { n, spec } => skewed_topology(*n, spec, rng),
             TopologySpec::MultiAs(cfg) => generate_multi_as(cfg, rng),
             TopologySpec::Hierarchical(params) => hierarchical(params, rng),
         }
@@ -256,7 +246,7 @@ impl TracedTrial {
 
 /// The default worker count [`run_all_parallel`] uses when `threads` is
 /// `None`: available parallelism, falling back to 4.
-pub fn default_thread_count() -> usize {
+fn default_thread_count() -> usize {
     std::thread::available_parallelism()
         .map(usize::from)
         .unwrap_or(4)
@@ -516,6 +506,36 @@ mod tests {
         let settle = tl.last_settle_since(traced.failure_time);
         assert!(settle <= traced.stats.convergence_delay);
         assert!(tl.sent > 0 && tl.received > 0 && tl.processed > 0);
+    }
+
+    #[test]
+    fn batching_installs_fewer_transient_routes_than_fifo() {
+        // The paper's §5 claim, read off traced trials: deleting stale
+        // updates keeps invalid intermediate routes from being installed.
+        let transients = |scheme: Scheme| -> Vec<u64> {
+            crate::figures::FAILURE_FRACTIONS
+                .iter()
+                .map(|&f| {
+                    let exp = Experiment {
+                        topology: TopologySpec::seventy_thirty(24),
+                        scheme: scheme.clone(),
+                        failure: FailureSpec::CenterFraction(f),
+                        trials: 1,
+                        base_seed: 3,
+                    };
+                    let traced = exp.run_trial_traced(0, None);
+                    assert_eq!(traced.dropped, 0);
+                    traced.timeline().transient_routes()
+                })
+                .collect()
+        };
+        let batching = transients(Scheme::batching(0.5));
+        let fifo = transients(Scheme::constant_mrai(0.5));
+        assert!(
+            batching.iter().zip(&fifo).all(|(b, f)| b <= f),
+            "batching {batching:?} vs FIFO {fifo:?}"
+        );
+        assert!(batching.iter().sum::<u64>() < fifo.iter().sum::<u64>());
     }
 
     #[test]

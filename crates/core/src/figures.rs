@@ -522,52 +522,6 @@ pub fn fig13(opts: FigOpts) -> FigureData {
     )
 }
 
-/// Trace-derived companion figure (no direct paper counterpart):
-/// transient invalid-route episodes vs failure size for batching against
-/// plain FIFO processing, both at MRAI = 0.5 s. Quantifies the paper's §5
-/// claim that deleting stale updates keeps invalid intermediate routes
-/// from ever being installed: each y value counts best routes some node
-/// installed during re-convergence and later replaced or withdrew,
-/// reconstructed by [`Timeline`](crate::trace::Timeline) from a traced
-/// trial. Not part of [`all_figures`] — the goldens pin the paper's
-/// thirteen — but exercised by the `trace_timeline` example.
-pub fn fig_transient_routes(opts: FigOpts) -> FigureData {
-    let topology = TopologySpec::seventy_thirty(opts.nodes);
-    let schemes = [
-        Scheme::batching(0.5).named("batching"),
-        Scheme::constant_mrai(0.5),
-    ];
-    let series = schemes
-        .iter()
-        .map(|scheme| Series {
-            name: scheme.name.clone(),
-            points: FAILURE_FRACTIONS
-                .iter()
-                .map(|&f| {
-                    let exp = Experiment {
-                        topology: topology.clone(),
-                        scheme: scheme.clone(),
-                        failure: FailureSpec::CenterFraction(f),
-                        trials: opts.trials,
-                        base_seed: opts.base_seed,
-                    };
-                    let total: u64 = (0..opts.trials)
-                        .map(|t| exp.run_trial_traced(t, None).timeline().transient_routes())
-                        .sum();
-                    (f * 100.0, total as f64 / opts.trials.max(1) as f64)
-                })
-                .collect(),
-        })
-        .collect();
-    FigureData {
-        id: "fig_transient_routes".into(),
-        title: "Transient invalid routes installed during re-convergence".into(),
-        x_label: "failure size (% of nodes)".into(),
-        y_label: "transient routes (mean per trial)".into(),
-        series,
-    }
-}
-
 /// Full-table companion figure (no direct paper counterpart): convergence
 /// delay and transient invalid-route episodes of a central-region *burst
 /// withdrawal* as the routing table grows from the paper's one prefix per
@@ -625,22 +579,36 @@ pub fn fig_fulltable(opts: FigOpts, sizes: &[u32]) -> FigureData {
     }
 }
 
-/// Every figure in order, with its regenerating function.
-pub fn all_figures() -> Vec<(&'static str, FigureFn)> {
+/// A topology family by name and preset (node count → spec).
+pub type Family = (&'static str, fn(usize) -> TopologySpec);
+
+const SEVENTY_THIRTY: Family = ("70-30", TopologySpec::seventy_thirty);
+const FIFTY_FIFTY: Family = ("50-50", TopologySpec::fifty_fifty);
+const EIGHTY_FIVE_FIFTEEN: Family = ("85-15", TopologySpec::eighty_five_fifteen);
+const FIFTY_FIFTY_DENSE: Family = ("50-50-dense", TopologySpec::fifty_fifty_dense);
+const REALISTIC: Family = ("realistic", TopologySpec::realistic);
+
+/// Every figure in order, with its regenerating function and the topology
+/// families it draws — the ones its node count must be able to realise.
+pub fn all_figures() -> Vec<(&'static str, FigureFn, &'static [Family])> {
     vec![
-        ("fig01", fig01),
-        ("fig02", fig02),
-        ("fig03", fig03),
-        ("fig04", fig04),
-        ("fig05", fig05),
-        ("fig06", fig06),
-        ("fig07", fig07),
-        ("fig08", fig08),
-        ("fig09", fig09),
-        ("fig10", fig10),
-        ("fig11", fig11),
-        ("fig12", fig12),
-        ("fig13", fig13),
+        ("fig01", fig01, &[SEVENTY_THIRTY]),
+        ("fig02", fig02, &[SEVENTY_THIRTY]),
+        ("fig03", fig03, &[SEVENTY_THIRTY]),
+        (
+            "fig04",
+            fig04,
+            &[FIFTY_FIFTY, SEVENTY_THIRTY, EIGHTY_FIVE_FIFTEEN],
+        ),
+        ("fig05", fig05, &[FIFTY_FIFTY, FIFTY_FIFTY_DENSE]),
+        ("fig06", fig06, &[SEVENTY_THIRTY]),
+        ("fig07", fig07, &[SEVENTY_THIRTY]),
+        ("fig08", fig08, &[SEVENTY_THIRTY]),
+        ("fig09", fig09, &[SEVENTY_THIRTY]),
+        ("fig10", fig10, &[SEVENTY_THIRTY]),
+        ("fig11", fig11, &[SEVENTY_THIRTY]),
+        ("fig12", fig12, &[SEVENTY_THIRTY]),
+        ("fig13", fig13, &[REALISTIC]),
     ]
 }
 
@@ -725,21 +693,6 @@ mod tests {
         assert_eq!(fig(vec![(1.0, f64::NAN)]).argmin_of("a"), None);
         // Ties keep the last minimal point (Iterator::min_by semantics).
         assert_eq!(fig(vec![(1.0, 2.0), (5.0, 2.0)]).argmin_of("a"), Some(5.0));
-    }
-
-    #[test]
-    fn transient_routes_figure_shows_batching_win() {
-        let data = fig_transient_routes(FigOpts {
-            nodes: 24,
-            trials: 1,
-            base_seed: 3,
-            threads: None,
-        });
-        assert_eq!(data.series.len(), 2);
-        for s in &data.series {
-            assert_eq!(s.points.len(), FAILURE_FRACTIONS.len());
-            assert!(s.points.iter().all(|&(_, y)| y.is_finite() && y >= 0.0));
-        }
     }
 
     #[test]

@@ -56,14 +56,8 @@ impl Aggregate {
     }
 
     /// Mean convergence delay in seconds; 0.0 for an empty aggregate
-    /// (never NaN — use [`try_mean_delay_secs`](Aggregate::try_mean_delay_secs)
-    /// to distinguish "no trials" from "zero delay").
+    /// (never NaN).
     pub fn mean_delay_secs(&self) -> f64 {
-        self.try_mean_delay_secs().unwrap_or(0.0)
-    }
-
-    /// Mean convergence delay in seconds, `None` for an empty aggregate.
-    pub fn try_mean_delay_secs(&self) -> Option<f64> {
         mean(self.runs.iter().map(|r| r.convergence_delay.as_secs_f64()))
     }
 
@@ -74,25 +68,14 @@ impl Aggregate {
     }
 
     /// Mean number of update messages; 0.0 for an empty aggregate (never
-    /// NaN — see [`try_mean_messages`](Aggregate::try_mean_messages)).
+    /// NaN).
     pub fn mean_messages(&self) -> f64 {
-        self.try_mean_messages().unwrap_or(0.0)
-    }
-
-    /// Mean number of update messages, `None` for an empty aggregate.
-    pub fn try_mean_messages(&self) -> Option<f64> {
         mean(self.runs.iter().map(|r| r.messages as f64))
     }
 
     /// Mean number of stale updates deleted by batching; 0.0 for an empty
-    /// aggregate (never NaN — see
-    /// [`try_mean_stale_deleted`](Aggregate::try_mean_stale_deleted)).
+    /// aggregate (never NaN).
     pub fn mean_stale_deleted(&self) -> f64 {
-        self.try_mean_stale_deleted().unwrap_or(0.0)
-    }
-
-    /// Mean number of stale deletions, `None` for an empty aggregate.
-    pub fn try_mean_stale_deleted(&self) -> Option<f64> {
         mean(self.runs.iter().map(|r| r.stale_deleted as f64))
     }
 
@@ -100,66 +83,20 @@ impl Aggregate {
     pub fn max_peak_queue(&self) -> usize {
         self.runs.iter().map(|r| r.peak_queue).max().unwrap_or(0)
     }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) of the convergence delay in seconds,
-    /// by linear interpolation between order statistics. Stochastic
-    /// simulations are better summarized by medians/tails than means when
-    /// trial counts grow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn delay_quantile_secs(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-        if self.runs.is_empty() {
-            return 0.0;
-        }
-        let mut delays: Vec<f64> = self
-            .runs
-            .iter()
-            .map(|r| r.convergence_delay.as_secs_f64())
-            .collect();
-        // total_cmp: delays are always finite here (they come from
-        // SimDuration), but a total order costs nothing and removes the
-        // panic path partial_cmp would have.
-        delays.sort_by(f64::total_cmp);
-        let pos = q * (delays.len() - 1) as f64;
-        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-        if lo == hi {
-            delays[lo]
-        } else {
-            let frac = pos - lo as f64;
-            delays[lo] * (1.0 - frac) + delays[hi] * frac
-        }
-    }
-
-    /// Median convergence delay in seconds.
-    pub fn median_delay_secs(&self) -> f64 {
-        self.delay_quantile_secs(0.5)
-    }
-
-    /// The half-width of a normal-approximation 95% confidence interval on
-    /// the mean delay (zero for fewer than two trials).
-    pub fn delay_ci95_secs(&self) -> f64 {
-        if self.runs.len() < 2 {
-            return 0.0;
-        }
-        1.96 * self.std_delay_secs() / (self.runs.len() as f64).sqrt()
-    }
 }
 
-/// `None` for an empty iterator — the 0/0 = NaN case callers must not
-/// silently propagate into figures.
-fn mean(values: impl Iterator<Item = f64>) -> Option<f64> {
+/// 0.0 for an empty iterator, so an empty aggregate never puts the
+/// 0/0 = NaN case into a figure.
+fn mean(values: impl Iterator<Item = f64>) -> f64 {
     let (mut sum, mut n) = (0.0, 0u32);
     for v in values {
         sum += v;
         n += 1;
     }
     if n == 0 {
-        None
+        0.0
     } else {
-        Some(sum / f64::from(n))
+        sum / f64::from(n)
     }
 }
 
@@ -168,7 +105,7 @@ fn std_dev(values: impl Iterator<Item = f64>) -> f64 {
     if vals.len() < 2 {
         return 0.0;
     }
-    let m = mean(vals.iter().copied()).expect("len >= 2");
+    let m = mean(vals.iter().copied());
     let var = vals.iter().map(|v| (v - m).powi(2)).sum::<f64>() / (vals.len() - 1) as f64;
     var.sqrt()
 }
@@ -207,53 +144,12 @@ mod tests {
         assert_eq!(agg.mean_stale_deleted(), 0.0);
         assert_eq!(agg.std_delay_secs(), 0.0);
         assert_eq!(agg.max_peak_queue(), 0);
-        assert_eq!(agg.try_mean_delay_secs(), None);
-        assert_eq!(agg.try_mean_messages(), None);
-        assert_eq!(agg.try_mean_stale_deleted(), None);
-    }
-
-    #[test]
-    fn try_means_match_means_when_nonempty() {
-        let agg = Aggregate::new(vec![run(10, 100), run(20, 300)]);
-        assert_eq!(agg.try_mean_delay_secs(), Some(agg.mean_delay_secs()));
-        assert_eq!(agg.try_mean_messages(), Some(agg.mean_messages()));
-        assert_eq!(agg.try_mean_stale_deleted(), Some(agg.mean_stale_deleted()));
     }
 
     #[test]
     fn single_run_has_zero_std() {
         let agg = Aggregate::new(vec![run(5, 1)]);
         assert_eq!(agg.std_delay_secs(), 0.0);
-    }
-
-    #[test]
-    fn quantiles_interpolate() {
-        let agg = Aggregate::new(vec![run(10, 0), run(20, 0), run(40, 0)]);
-        assert_eq!(agg.delay_quantile_secs(0.0), 10.0);
-        assert_eq!(agg.delay_quantile_secs(1.0), 40.0);
-        assert_eq!(agg.median_delay_secs(), 20.0);
-        assert_eq!(agg.delay_quantile_secs(0.25), 15.0);
-    }
-
-    #[test]
-    fn quantiles_handle_degenerate_inputs() {
-        assert_eq!(Aggregate::default().delay_quantile_secs(0.5), 0.0);
-        let one = Aggregate::new(vec![run(7, 0)]);
-        assert_eq!(one.median_delay_secs(), 7.0);
-        assert_eq!(one.delay_ci95_secs(), 0.0);
-    }
-
-    #[test]
-    fn ci_shrinks_with_more_trials() {
-        let two = Aggregate::new(vec![run(10, 0), run(20, 0)]);
-        let four = Aggregate::new(vec![run(10, 0), run(20, 0), run(10, 0), run(20, 0)]);
-        assert!(four.delay_ci95_secs() < two.delay_ci95_secs());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1]")]
-    fn quantile_rejects_bad_q() {
-        let _ = Aggregate::new(vec![run(1, 0)]).delay_quantile_secs(1.5);
     }
 
     #[test]

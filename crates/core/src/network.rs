@@ -110,11 +110,14 @@ impl FullTableSpec {
     }
 }
 
-/// Simulation-wide configuration.
+/// One-way delay of every link (paper: 25 ms). It is also the sharded
+/// loop's lookahead: a message sent at `t` arrives at `t + LINK_DELAY`.
+pub(crate) const LINK_DELAY: SimDuration = SimDuration::from_millis(25);
+
+/// Simulation-wide configuration. Every link delays by 25 ms, and routers
+/// process each update in U(1, 30) ms, the [`NodeConfig`] default.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimConfig {
-    /// One-way link delay (paper: 25 ms on all links).
-    pub link_delay: SimDuration,
     /// How session peers detect a failure, and after what delay.
     pub detection: DetectionMode,
     /// Prefixes originated per AS (paper: 1; the Internet holds thousands
@@ -137,15 +140,9 @@ pub struct SimConfig {
     pub jitter: bool,
     /// Withdrawal rate limiting (WRATE).
     pub wrate: bool,
-    /// iBGP-session MRAI.
-    pub ibgp_mrai: SimDuration,
-    /// Minimum per-update processing delay (paper: 1 ms).
-    pub proc_min: SimDuration,
-    /// Maximum per-update processing delay (paper: 30 ms).
-    pub proc_max: SimDuration,
     /// Deshpande & Sikdar timer cancelling at every node.
     pub expedite_improvements: bool,
-    /// Gao–Rexford policies with degree-inferred relationships.
+    /// Gao–Rexford policies with relationships from the AS hierarchy tiers.
     pub policy: bool,
     /// RFC 2439 route-flap damping on eBGP sessions.
     pub damping: Option<bgpsim_bgp::damping::DampingConfig>,
@@ -157,7 +154,7 @@ pub struct SimConfig {
     /// Hierarchical topologies pass their ground-truth tiers here.
     pub policy_tiers: Option<Vec<usize>>,
     /// Shard count for the sharded event loop (conservative PDES with
-    /// `link_delay` lookahead — see the `shard` module). `None` falls back
+    /// link-delay lookahead — see the `shard` module). `None` falls back
     /// to the `BGPSIM_SHARDS` environment variable, absent → 1 (serial).
     /// Any value yields bit-identical results; >1 buys wall-clock from
     /// cores inside a single trial.
@@ -179,7 +176,6 @@ impl SimConfig {
     /// The paper's defaults with MRAI 30 s everywhere.
     pub fn new(seed: u64) -> SimConfig {
         SimConfig {
-            link_delay: SimDuration::from_millis(25),
             detection: DetectionMode::LinkLayer(SimDuration::ZERO),
             prefixes_per_as: 1,
             full_table: None,
@@ -189,9 +185,6 @@ impl SimConfig {
             mrai_scope: MraiScope::PerPeer,
             jitter: true,
             wrate: false,
-            ibgp_mrai: SimDuration::ZERO,
-            proc_min: SimDuration::from_millis(1),
-            proc_max: SimDuration::from_millis(30),
             expedite_improvements: false,
             policy: false,
             damping: None,
@@ -236,15 +229,6 @@ impl SimConfig {
         }
         if let Some(v) = o.expedite_improvements {
             cfg.expedite_improvements = v;
-        }
-        if let Some(v) = o.proc_min {
-            cfg.proc_min = v;
-        }
-        if let Some(v) = o.proc_max {
-            cfg.proc_max = v;
-        }
-        if let Some(v) = o.link_delay {
-            cfg.link_delay = v;
         }
         if let Some(v) = o.policy {
             cfg.policy = v;
@@ -561,17 +545,6 @@ fn build_node_config(cfg: &SimConfig, topo: &Topology, r: RouterId) -> NodeConfi
                 MraiPolicy::Constant(*low)
             }
         }
-        MraiAssignment::DynamicAtHighDegree {
-            high_degree_min,
-            low,
-            dynamic,
-        } => {
-            if topo.degree(r) >= *high_degree_min {
-                MraiPolicy::Dynamic(dynamic.clone())
-            } else {
-                MraiPolicy::Constant(*low)
-            }
-        }
         MraiAssignment::OracleFailureSize { table } => {
             // Before the failure, nodes run the smallest MRAI (the common
             // small-failure case); the oracle retunes them at injection.
@@ -581,11 +554,8 @@ fn build_node_config(cfg: &SimConfig, topo: &Topology, r: RouterId) -> NodeConfi
     NodeConfig {
         mrai,
         mrai_scope: cfg.mrai_scope,
-        ibgp_mrai: cfg.ibgp_mrai,
         jitter: cfg.jitter,
         withdrawal_rate_limiting: cfg.wrate,
-        proc_min: cfg.proc_min,
-        proc_max: cfg.proc_max,
         queue: cfg.queue,
         expedite_improvements: cfg.expedite_improvements,
         policy: if cfg.policy {
@@ -595,6 +565,7 @@ fn build_node_config(cfg: &SimConfig, topo: &Topology, r: RouterId) -> NodeConfi
         },
         damping: cfg.damping,
         route_reflector,
+        ..NodeConfig::default()
     }
 }
 
@@ -960,14 +931,6 @@ impl Network {
     /// The future-event-list backend: always the binary heap.
     pub fn fel_kind(&self) -> FelKind {
         FelKind::Heap
-    }
-
-    /// Distinct [`NodeConfig`] allocations in the interned config arena.
-    /// Homogeneous networks intern down to a single entry regardless of
-    /// node count; degree-dependent MRAI adds one entry per distinct
-    /// degree class.
-    pub fn config_arena_len(&self) -> usize {
-        self.cfg_arena.len()
     }
 
     /// Measures the routing-state heap of every live router plus the
@@ -1470,34 +1433,23 @@ impl Network {
             node.set_tracing(tracing);
         }
         // The sharded loop (conservative PDES with link-delay lookahead,
-        // bit-identical to serial — see the `shard` module) needs a
-        // non-zero lookahead and cannot interleave timeline sampling,
-        // which reads global state mid-epoch; those runs stay serial.
+        // bit-identical to serial — see the `shard` module) cannot
+        // interleave timeline sampling, which reads global state
+        // mid-epoch; those runs stay serial.
         // While sharded, `self.sched` is empty — pending events live in
         // the shard-owned FELs — but its id allocation and delivery
         // accounting still advance in serial order, so at quiescence the
         // scheduler's counters (and any clone taken of them) are
         // identical to a serial run's.
-        if self.shards > 1 && self.sample_interval.is_none() && !self.cfg.link_delay.is_zero() {
+        if self.shards > 1 && self.sample_interval.is_none() {
             crate::shard::pump_sharded(self);
             return;
         }
-        // Set BGPSIM_DEBUG_PUMP=1 to watch event-loop progress (useful
-        // when diagnosing runaway simulations). Checked once per drain:
-        // an env lookup takes the env lock, far too slow per event.
-        let debug_pump = std::env::var_os("BGPSIM_DEBUG_PUMP").is_some();
         // Liveness is frozen for the whole pump: routers only fail or
         // revive between pumps.
         let alive: Vec<bool> = self.nodes.iter().map(Option::is_some).collect();
         let mut actions: Vec<Action> = Vec::new();
         while let Some((t, ev)) = self.sched.next() {
-            if debug_pump && self.sched.delivered_count().is_multiple_of(1_000_000) {
-                eprintln!(
-                    "[pump] events={} simtime={t} pending={}",
-                    self.sched.delivered_count(),
-                    self.sched.len()
-                );
-            }
             if let Some(interval) = self.sample_interval {
                 while self.next_sample <= t {
                     let at = self.next_sample;
@@ -1533,7 +1485,7 @@ impl Network {
                             from: node,
                             msg,
                         };
-                        self.sched.schedule(t + self.cfg.link_delay, ev);
+                        self.sched.schedule(t + LINK_DELAY, ev);
                     }
                 } else {
                     let (at, ev) = follow_up(node, t, &action);

@@ -74,14 +74,6 @@ impl Scenario {
         Scenario { steps }
     }
 
-    /// A failure-and-repair cycle of the central `fraction` of routers.
-    pub fn fail_and_repair(fraction: f64) -> Scenario {
-        Scenario::new(vec![
-            ScenarioStep::FailRouters(FailureSpec::CenterFraction(fraction)),
-            ScenarioStep::ReviveAll,
-        ])
-    }
-
     /// `cycles` repetitions of fail-and-repair (a flapping region).
     pub fn flapping(fraction: f64, cycles: usize) -> Scenario {
         let mut steps = Vec::with_capacity(cycles * 2);
@@ -166,7 +158,11 @@ mod tests {
     #[test]
     fn fail_and_repair_restores_everything() {
         let mut network = net(1, 30);
-        let stats = Scenario::fail_and_repair(0.1).run(&mut network);
+        let scenario = Scenario::new(vec![
+            ScenarioStep::FailRouters(FailureSpec::CenterFraction(0.1)),
+            ScenarioStep::ReviveAll,
+        ]);
+        let stats = scenario.run(&mut network);
         assert_eq!(stats.len(), 2);
         network.assert_routing_consistent();
         for r in network.topology().router_ids() {

@@ -15,9 +15,8 @@ use serde::{Deserialize, Serialize};
 
 /// Optional overrides of the simulation defaults, carried by a [`Scheme`]
 /// so ablation experiments (jitter off, WRATE on, detection delay, MRAI
-/// scope, expedited improvements, processing-delay range) run through the
-/// same experiment machinery as the paper's schemes. `None` keeps the
-/// paper's default.
+/// scope, expedited improvements) run through the same experiment
+/// machinery as the paper's schemes. `None` keeps the paper's default.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimOverrides {
     /// RFC 1771 timer jitter (default on).
@@ -30,12 +29,6 @@ pub struct SimOverrides {
     pub mrai_scope: Option<MraiScope>,
     /// Deshpande & Sikdar timer cancelling (default off).
     pub expedite_improvements: Option<bool>,
-    /// Minimum per-update processing delay (default 1 ms).
-    pub proc_min: Option<SimDuration>,
-    /// Maximum per-update processing delay (default 30 ms).
-    pub proc_max: Option<SimDuration>,
-    /// One-way link delay (default 25 ms).
-    pub link_delay: Option<SimDuration>,
     /// Gao–Rexford policies (default off, per the paper's §3.2).
     pub policy: Option<bool>,
     /// Detect failures by BGP hold-timer expiry with this hold time,
@@ -68,17 +61,6 @@ pub enum MraiAssignment {
         low: SimDuration,
         /// MRAI at high-degree nodes.
         high: SimDuration,
-    },
-    /// Dynamic MRAI only at nodes with degree at least `high_degree_min`;
-    /// the rest use constant `low` (the §4.3 ablation — the paper found it
-    /// equivalent to running the dynamic scheme everywhere).
-    DynamicAtHighDegree {
-        /// Smallest degree that counts as "high degree".
-        high_degree_min: usize,
-        /// Constant MRAI at low-degree nodes.
-        low: SimDuration,
-        /// Dynamic configuration at high-degree nodes.
-        dynamic: DynamicMraiConfig,
     },
     /// The paper's future-work oracle ("a scheme that can accurately and
     /// quickly set the MRAI consistent with the extent of failure"): at
@@ -182,13 +164,6 @@ impl Scheme {
         }
     }
 
-    /// Batching combined with a custom dynamic configuration.
-    pub fn batching_plus(mut scheme: Scheme) -> Scheme {
-        scheme.queue = QueueDiscipline::Batched;
-        scheme.name = format!("batching + {}", scheme.name);
-        scheme
-    }
-
     /// Today's router behaviour (§4.4): per-peer TCP-buffer batches of
     /// `buffer` updates, constant MRAI.
     pub fn tcp_batch(mrai_secs: f64, buffer: usize) -> Scheme {
@@ -253,7 +228,7 @@ impl Scheme {
     }
 
     /// Enables Gao–Rexford policies (customer/peer/provider preferences and
-    /// valley-free export; relationships inferred from node degrees).
+    /// valley-free export; relationships from the AS hierarchy tiers).
     #[must_use]
     pub fn with_policy(mut self) -> Scheme {
         self.overrides.policy = Some(true);
@@ -298,14 +273,6 @@ impl Scheme {
     #[must_use]
     pub fn with_route_reflection(mut self) -> Scheme {
         self.overrides.ibgp_mode = Some(crate::network::IbgpMode::RouteReflector);
-        self
-    }
-
-    /// Overrides the per-update processing-delay range.
-    #[must_use]
-    pub fn with_processing_delay(mut self, min: SimDuration, max: SimDuration) -> Scheme {
-        self.overrides.proc_min = Some(min);
-        self.overrides.proc_max = Some(max);
         self
     }
 

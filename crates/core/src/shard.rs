@@ -3,7 +3,7 @@
 //! **single-pass epoch** (DESIGN.md §10, §13).
 //!
 //! Every inter-node interaction in this model crosses a link with a fixed
-//! one-way delay (`SimConfig::link_delay`, the paper's 25 ms), so an event
+//! one-way delay ([`LINK_DELAY`], the paper's 25 ms), so an event
 //! executed at time `t` can only create events at *other* nodes at
 //! `t + link_delay` or later. That delay is the classic conservative-PDES
 //! *lookahead*: all events inside a half-open window
@@ -99,8 +99,8 @@
 //! shards' FEL heads *and* undelivered mail, so mail can never be skipped
 //! past.
 //!
-//! The loop falls back to serial for `shards <= 1`, zero link delay (no
-//! lookahead), and sampling runs (samples read global state mid-epoch).
+//! The loop falls back to serial for `shards <= 1` and sampling runs
+//! (samples read global state mid-epoch).
 
 use std::collections::BinaryHeap;
 use std::sync::{Mutex, RwLock};
@@ -109,10 +109,10 @@ use std::time::Instant;
 use bgpsim_bgp::node::Action;
 use bgpsim_bgp::trace::NodeEvent;
 use bgpsim_bgp::BgpNode;
-use bgpsim_des::{EventId, Scheduler, SimDuration, SimTime};
+use bgpsim_des::{EventId, Scheduler, SimTime};
 use bgpsim_topology::RouterId;
 
-use crate::network::{dispatch, follow_up, Ev, Network, World};
+use crate::network::{dispatch, follow_up, Ev, Network, World, LINK_DELAY};
 use crate::trace::TraceSink;
 
 /// Shard-local sort keys for intra-epoch self-events start here — above
@@ -370,7 +370,6 @@ impl EpochOut {
 struct EpochCtx<'a> {
     world: World<'a>,
     shard_of: &'a [u32],
-    link_delay: SimDuration,
     tracing: bool,
 }
 
@@ -465,7 +464,7 @@ fn run_shard_epoch(
                 if !ctx.world.alive[to.index()] {
                     continue;
                 }
-                let at = t + ctx.link_delay;
+                let at = t + LINK_DELAY;
                 debug_assert!(at >= epoch_end, "send inside lookahead window");
                 let ev = Ev::Deliver {
                     to,
@@ -566,11 +565,8 @@ fn walk(
 /// process-wide worker pool; externally indistinguishable from
 /// `Network::pump`'s serial drain.
 pub(crate) fn pump_sharded(net: &mut Network) {
-    let debug_pump = std::env::var_os("BGPSIM_DEBUG_PUMP").is_some();
     let n = net.topo.num_routers();
     let shards = net.shards.min(n.max(1));
-    let lookahead = net.cfg.link_delay;
-    debug_assert!(!lookahead.is_zero(), "sharded loop needs lookahead");
 
     // World state frozen for the duration of the pump.
     let alive: Vec<bool> = net.nodes.iter().map(Option::is_some).collect();
@@ -637,7 +633,6 @@ pub(crate) fn pump_sharded(net: &mut Network) {
             dead_links: &net.dead_links,
         },
         shard_of: &shard_of,
-        link_delay: lookahead,
         tracing: !net.trace.is_off(),
     };
 
@@ -665,7 +660,7 @@ pub(crate) fn pump_sharded(net: &mut Network) {
         let Some(t0) = peeks.iter().chain(&mail_min).flatten().min().copied() else {
             break;
         };
-        let epoch_end = t0 + lookahead;
+        let epoch_end = t0 + LINK_DELAY;
         for s in 0..shards {
             engaged[s] = peeks[s].is_some_and(|p| p < epoch_end) || mail_min[s].is_some();
         }
@@ -735,7 +730,6 @@ pub(crate) fn pump_sharded(net: &mut Network) {
 
         // Phase B — the serial walk.
         let walk_start = Instant::now();
-        let delivered_before = net.sched.delivered_count();
         walk(&mut outs, &mut cursors, &mut net.sched, &mut net.trace);
         net.sched.mark_delivered_many(t_last, delivered);
         if let Some(t) = active_at {
@@ -743,24 +737,6 @@ pub(crate) fn pump_sharded(net: &mut Network) {
         }
         timings.phase_b_secs += walk_start.elapsed().as_secs_f64();
         timings.epochs += 1;
-        if debug_pump && delivered_before / 1_000_000 != net.sched.delivered_count() / 1_000_000 {
-            // The central FEL is empty while sharded; the pending count is
-            // what sits in the shard FELs and the mail.
-            let queued: usize = slots
-                .iter()
-                .map(|slot| slot.lock().expect("slot mutex poisoned").fel.len())
-                .sum();
-            let mailed: usize = outs
-                .iter()
-                .flat_map(|out| &out.mail)
-                .map(|m| m.lock().expect("mail mutex poisoned").len())
-                .sum();
-            eprintln!(
-                "[pump] events={} simtime={t_last} pending={}",
-                net.sched.delivered_count(),
-                queued + mailed
-            );
-        }
     });
 
     // Quiescent: every shard FEL and mailbox drained; reassemble the
@@ -887,7 +863,7 @@ mod tests {
             )
             .unwrap();
             let mut cfg = SimConfig::new(99);
-            cfg.origination_window = SimDuration::ZERO;
+            cfg.origination_window = bgpsim_des::SimDuration::ZERO;
             cfg.shards = Some(shards);
             Network::new(topo, cfg)
         };

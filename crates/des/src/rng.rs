@@ -36,11 +36,6 @@ impl RngStreams {
         RngStreams { root: root_seed }
     }
 
-    /// The root seed this factory was built from.
-    pub fn root_seed(&self) -> u64 {
-        self.root
-    }
-
     /// Derives the RNG stream for component `label` number `index`.
     ///
     /// The same `(root seed, label, index)` triple always yields the same

@@ -234,23 +234,10 @@ pub enum DegreeSpec {
         /// Largest degree allowed.
         max_degree: u32,
     },
-    /// Uniform on `min..=max`.
-    Uniform {
-        /// Smallest degree.
-        min: u32,
-        /// Largest degree.
-        max: u32,
-    },
-    /// An explicit sequence (cycled/truncated to the requested length).
-    Explicit(Vec<u32>),
 }
 
 impl DegreeSpec {
     /// Expected mean degree.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed specs (e.g. empty explicit sequence).
     pub fn mean(&self) -> f64 {
         match self {
             DegreeSpec::Skewed(s) => s.mean(),
@@ -263,11 +250,6 @@ impl DegreeSpec {
                 }
                 num / den
             }
-            DegreeSpec::Uniform { min, max } => f64::from(min + max) / 2.0,
-            DegreeSpec::Explicit(seq) => {
-                assert!(!seq.is_empty(), "explicit degree sequence is empty");
-                seq.iter().map(|&d| f64::from(d)).sum::<f64>() / seq.len() as f64
-            }
         }
     }
 
@@ -276,8 +258,7 @@ impl DegreeSpec {
     /// # Panics
     ///
     /// Panics on malformed specs; see [`SkewedSpec::sample`] for the skewed
-    /// case. `PowerLaw` requires `max_degree ≥ 1`; `Uniform` requires
-    /// `1 ≤ min ≤ max`; `Explicit` requires a non-empty sequence.
+    /// case. `PowerLaw` requires `max_degree ≥ 1`.
     pub fn sample<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<u32> {
         let mut degrees: Vec<u32> = match self {
             DegreeSpec::Skewed(s) => return s.sample(n, rng),
@@ -300,14 +281,6 @@ impl DegreeSpec {
                         *max_degree
                     })
                     .collect()
-            }
-            DegreeSpec::Uniform { min, max } => {
-                assert!(*min >= 1 && min <= max, "uniform degree bounds invalid");
-                (0..n).map(|_| rng.gen_range(*min..=*max)).collect()
-            }
-            DegreeSpec::Explicit(seq) => {
-                assert!(!seq.is_empty(), "explicit degree sequence is empty");
-                (0..n).map(|i| seq[i % seq.len()]).collect()
             }
         };
         make_sum_even(&mut degrees);
@@ -527,22 +500,6 @@ mod tests {
             (0.6..0.85).contains(&below4),
             "fraction below degree 4 = {below4}, paper reports ~0.7"
         );
-    }
-
-    #[test]
-    fn uniform_and_explicit_sample() {
-        let mut rng = SmallRng::seed_from_u64(5);
-        let u = DegreeSpec::Uniform { min: 2, max: 4 }.sample(100, &mut rng);
-        assert!(u.iter().all(|&d| (2..=5).contains(&d))); // +1 possible from even-sum fix
-        let e = DegreeSpec::Explicit(vec![2, 4]).sample(5, &mut rng);
-        assert_eq!(e.iter().map(|&d| u64::from(d)).sum::<u64>() % 2, 0);
-        assert_eq!(e.len(), 5);
-    }
-
-    #[test]
-    fn explicit_mean() {
-        assert_eq!(DegreeSpec::Explicit(vec![2, 4]).mean(), 3.0);
-        assert_eq!(DegreeSpec::Uniform { min: 1, max: 3 }.mean(), 2.0);
     }
 
     #[test]

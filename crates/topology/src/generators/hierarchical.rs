@@ -17,7 +17,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::graph::{Point, Topology, TopologyError};
-use crate::placement::{place, DensityModel};
+use crate::placement::place;
 
 /// Parameters of the hierarchical generator.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -118,7 +118,7 @@ pub fn hierarchical<R: Rng + ?Sized>(
     }
 
     let n = params.num_nodes();
-    let positions: Vec<Point> = place(n, DensityModel::Uniform, rng);
+    let positions: Vec<Point> = place(n, rng);
 
     // Node ids: tier 0 first, then tier 1, etc.
     let mut tier_start = Vec::with_capacity(params.tier_sizes.len());

@@ -7,28 +7,23 @@
 //! * [`skewed_topology`] / [`topology_from_spec`] — sample a degree
 //!   sequence, place routers uniformly on the grid, build the graph, one AS
 //!   per router.
-//! * [`waxman`], [`barabasi_albert`], [`glp`] — the BRITE generator menu
-//!   the paper lists (§3.1, refs \[15\]–\[17\]).
 //! * [`hierarchical`] — an engineered Internet-like hierarchy (Tier-1
 //!   clique + transit tiers) used by the routing-policy extension.
+//!
+//! The multi-router "realistic" topologies are built by
+//! [`generate_multi_as`](crate::multias::generate_multi_as).
 
-mod ba;
 mod config_model;
-mod glp;
 mod hierarchical;
-mod waxman;
 
-pub use ba::barabasi_albert;
 pub use config_model::from_degree_sequence;
-pub use glp::{glp, GlpParams};
 pub use hierarchical::{hierarchical, HierarchicalParams};
-pub use waxman::{waxman, WaxmanParams};
 
 use rand::Rng;
 
 use crate::degree::{DegreeSpec, SkewedSpec};
 use crate::graph::{AsId, Point, Router, Topology, TopologyError};
-use crate::placement::{place, DensityModel};
+use crate::placement::place;
 
 /// Generates a single-router-per-AS topology with the given skewed degree
 /// distribution, routers placed uniformly on the 1000×1000 grid.
@@ -72,7 +67,7 @@ pub fn topology_from_spec<R: Rng + ?Sized>(
     spec: &DegreeSpec,
     rng: &mut R,
 ) -> Result<Topology, TopologyError> {
-    let positions = place(n, DensityModel::Uniform, rng);
+    let positions = place(n, rng);
     // Degree sequences whose repair fails are resampled a few times.
     let mut last_err = TopologyError::GenerationFailed("no attempts made".into());
     for _ in 0..100 {

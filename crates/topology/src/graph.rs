@@ -427,16 +427,6 @@ impl Topology {
         }
         comps
     }
-
-    /// Degree histogram: `hist[d]` = number of routers with degree `d`.
-    pub fn degree_histogram(&self) -> Vec<usize> {
-        let max = self.adj.iter().map(Vec::len).max().unwrap_or(0);
-        let mut hist = vec![0usize; max + 1];
-        for list in &self.adj {
-            hist[list.len()] += 1;
-        }
-        hist
-    }
 }
 
 #[cfg(test)]
@@ -537,12 +527,6 @@ mod tests {
         assert_eq!(t.inter_as_degree(AsId::new(0)), 1);
         assert_eq!(t.inter_as_degree(AsId::new(1)), 1);
         assert!(t.as_members(AsId::new(9)).is_empty());
-    }
-
-    #[test]
-    fn degree_histogram_counts() {
-        let t = line4();
-        assert_eq!(t.degree_histogram(), vec![0, 2, 2]);
     }
 
     #[test]

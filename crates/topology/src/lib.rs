@@ -11,9 +11,9 @@
 //!   85-15, and the dense 50-50 with average degree 7.6), plus an
 //!   Internet-derived power-law distribution truncated at degree 40.
 //! * [`generators`] — a degree-sequence (configuration-model) generator with
-//!   simple-graph and connectivity repair, plus the BRITE menu: Waxman,
-//!   Barabási–Albert, and GLP.
-//! * [`placement`] — random placement on the grid (plus density variants).
+//!   simple-graph and connectivity repair (the paper's modified BRITE), plus
+//!   an engineered tiered hierarchy for the routing-policy extension.
+//! * [`placement`] — uniform random placement on the grid.
 //! * [`multias`] — multi-router-per-AS expansion: heavy-tailed AS sizes
 //!   (1–100 routers), AS geographic extent proportional to size, and the
 //!   highest inter-AS degrees assigned to the largest ASes (paper §3.1).

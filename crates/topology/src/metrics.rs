@@ -290,16 +290,15 @@ mod tests {
     }
 
     #[test]
-    fn ba_graphs_cluster_more_than_lines() {
-        use crate::generators::barabasi_albert;
-        use crate::placement::{place, DensityModel};
+    fn skewed_graphs_cluster_more_than_lines() {
+        use crate::degree::SkewedSpec;
+        use crate::generators::skewed_topology;
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(2);
-        let pts = place(80, DensityModel::Uniform, &mut rng);
-        let topo = barabasi_albert(&pts, 2, &mut rng).unwrap();
+        let topo = skewed_topology(80, &SkewedSpec::seventy_thirty(), &mut rng).unwrap();
         let m = measure(&topo);
         assert!(m.clustering > 0.0);
-        assert!(m.avg_path_length < 6.0, "BA graphs are small worlds");
+        assert!(m.avg_path_length < 6.0, "skewed graphs are small worlds");
     }
 }

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::degree::DegreeSpec;
 use crate::graph::{AsId, Point, Router, RouterId, Topology, TopologyError};
-use crate::placement::{place, DensityModel};
+use crate::placement::place;
 use crate::GRID_SIDE;
 
 /// Configuration for multi-router-per-AS generation.
@@ -89,7 +89,7 @@ pub fn generate_multi_as<R: Rng + ?Sized>(
     //    non-graphical (resample on the Erdős–Gallai check), and graphical-
     //    but-extreme sequences can still defeat the constructive repair —
     //    resample those too.
-    let centers = place(num_ases, DensityModel::Uniform, rng);
+    let centers = place(num_ases, rng);
     let mut by_size: Vec<usize> = (0..num_ases).collect();
     by_size.sort_by_key(|&i| std::cmp::Reverse(sizes[i]));
     let mut as_graph = None;

@@ -1,49 +1,28 @@
 //! Router placement on the grid.
 //!
-//! The paper places routers uniformly at random on a 1000×1000 grid (§3.1);
-//! its earlier work also examined non-uniform densities, which
-//! [`DensityModel::CenterHeavy`] reproduces for ablations.
+//! The paper places routers uniformly at random on a 1000×1000 grid (§3.1).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::graph::Point;
 use crate::GRID_SIDE;
 
-/// How routers are spread over the grid.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize, Default)]
-#[non_exhaustive]
-pub enum DensityModel {
-    /// Uniform over the square (the paper's default).
-    #[default]
-    Uniform,
-    /// Denser toward the grid centre: each coordinate is the average of a
-    /// uniform draw and the centre, pulling points inward.
-    CenterHeavy,
-}
-
-/// Places `n` routers on the standard grid.
+/// Places `n` routers uniformly at random on the standard grid.
 ///
 /// ```
-/// use bgpsim_topology::placement::{place, DensityModel};
+/// use bgpsim_topology::placement::place;
 /// use rand::{rngs::SmallRng, SeedableRng};
 ///
 /// let mut rng = SmallRng::seed_from_u64(0);
-/// let pts = place(120, DensityModel::Uniform, &mut rng);
+/// let pts = place(120, &mut rng);
 /// assert_eq!(pts.len(), 120);
 /// assert!(pts.iter().all(|p| (0.0..=1000.0).contains(&p.x)));
 /// ```
-pub fn place<R: Rng + ?Sized>(n: usize, model: DensityModel, rng: &mut R) -> Vec<Point> {
+pub fn place<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<Point> {
     (0..n)
         .map(|_| {
             let (x, y) = (rng.gen_range(0.0..GRID_SIDE), rng.gen_range(0.0..GRID_SIDE));
-            match model {
-                DensityModel::Uniform => Point::new(x, y),
-                DensityModel::CenterHeavy => {
-                    let c = GRID_SIDE / 2.0;
-                    Point::new((x + c) / 2.0, (y + c) / 2.0)
-                }
-            }
+            Point::new(x, y)
         })
         .collect()
 }
@@ -57,7 +36,7 @@ mod tests {
     #[test]
     fn uniform_covers_grid() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let pts = place(2000, DensityModel::Uniform, &mut rng);
+        let pts = place(2000, &mut rng);
         let in_center_quarter = pts
             .iter()
             .filter(|p| (250.0..750.0).contains(&p.x) && (250.0..750.0).contains(&p.y))
@@ -71,18 +50,9 @@ mod tests {
     }
 
     #[test]
-    fn center_heavy_pulls_inward() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let pts = place(2000, DensityModel::CenterHeavy, &mut rng);
-        assert!(pts
-            .iter()
-            .all(|p| (250.0..=750.0).contains(&p.x) && (250.0..=750.0).contains(&p.y)));
-    }
-
-    #[test]
     fn placement_is_deterministic() {
-        let a = place(10, DensityModel::Uniform, &mut SmallRng::seed_from_u64(4));
-        let b = place(10, DensityModel::Uniform, &mut SmallRng::seed_from_u64(4));
+        let a = place(10, &mut SmallRng::seed_from_u64(4));
+        let b = place(10, &mut SmallRng::seed_from_u64(4));
         assert_eq!(a, b);
     }
 }

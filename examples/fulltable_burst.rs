@@ -38,11 +38,19 @@ use bgpsim_topology::region::FailureSpec;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Reads `key`, or `default` when it is unset; an unparsable value prints
+/// `error: <key>=<value>: <reason>` and exits with status 1.
+fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    match std::env::var(key) {
+        Ok(v) => v.parse().unwrap_or_else(|e| {
+            eprintln!("error: {key}={v}: {e}");
+            std::process::exit(1)
+        }),
+        Err(_) => default,
+    }
 }
 
 fn main() -> std::io::Result<()> {

@@ -1,19 +1,16 @@
-//! Explore the topology generators: build every family the workspace (and
-//! BRITE, which the paper modified) offers, and print the graph statistics
-//! that drive the convergence results — degree extremes, path lengths,
-//! clustering.
+//! Explore the topology generators: build the degree-driven families the
+//! paper's experiments draw (its modified BRITE), and print the graph
+//! statistics that drive the convergence results — degree extremes, path
+//! lengths, clustering.
 //!
 //! ```sh
 //! cargo run --release --example topology_explorer
 //! ```
 
-use bgpsim_topology::degree::{internet_like, DegreeSpec, SkewedSpec};
-use bgpsim_topology::generators::{
-    barabasi_albert, glp, skewed_topology, topology_from_spec, waxman, GlpParams, WaxmanParams,
-};
+use bgpsim_topology::degree::{internet_like, SkewedSpec};
+use bgpsim_topology::generators::{skewed_topology, topology_from_spec};
 use bgpsim_topology::metrics::measure;
 use bgpsim_topology::multias::{generate_multi_as, MultiAsConfig};
-use bgpsim_topology::placement::{place, DensityModel};
 use bgpsim_topology::Topology;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -35,7 +32,7 @@ fn describe(name: &str, topo: &Topology) {
 }
 
 fn main() {
-    println!("All topology families at n = 120 (seed 7):\n");
+    println!("Topology families at n = 120 (seed 7):\n");
     println!(
         "{:<22} {:>5} {:>5} {:>6} {:>6} {:>9} {:>7} {:>5} {:>7}",
         "family", "rtrs", "ASes", "edges", "deg", "min-max", "path", "diam", "clust"
@@ -57,32 +54,8 @@ fn main() {
     let topo = topology_from_spec(120, &spec, &mut rng).expect("realizable");
     describe("internet-like (≤40)", &topo);
 
-    let pts = place(120, DensityModel::Uniform, &mut rng);
-    let topo = waxman(&pts, WaxmanParams::default(), &mut rng).expect("waxman");
-    describe("Waxman (m=2)", &topo);
-
-    let pts = place(120, DensityModel::Uniform, &mut rng);
-    let topo = barabasi_albert(&pts, 2, &mut rng).expect("BA");
-    describe("Barabasi-Albert (m=2)", &topo);
-
-    let pts = place(120, DensityModel::Uniform, &mut rng);
-    let topo = glp(
-        &pts,
-        GlpParams {
-            m: 2,
-            ..Default::default()
-        },
-        &mut rng,
-    )
-    .expect("GLP");
-    describe("GLP (m=2)", &topo);
-
     let topo = generate_multi_as(&MultiAsConfig::realistic(120), &mut rng).expect("multi-AS");
     describe("multi-router realistic", &topo);
-
-    let topo = topology_from_spec(120, &DegreeSpec::Uniform { min: 3, max: 5 }, &mut rng)
-        .expect("uniform");
-    describe("uniform degree 3-5", &topo);
 
     println!();
     println!("Reading the table: the skewed families share the 3.8 average but");

@@ -21,17 +21,26 @@ use std::path::PathBuf;
 use bgpsim::network::{Network, SimConfig};
 use bgpsim::scheme::Scheme;
 use bgpsim::trace::{to_jsonl, Timeline, TraceSink};
+use bgpsim_bgp::NodeConfig;
 use bgpsim_topology::degree::SkewedSpec;
 use bgpsim_topology::generators::skewed_topology;
 use bgpsim_topology::region::FailureSpec;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Reads `key`, or `default` when it is unset; an unparsable value prints
+/// `error: <key>=<value>: <reason>` and exits with status 1.
+fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    match std::env::var(key) {
+        Ok(v) => v.parse().unwrap_or_else(|e| {
+            eprintln!("error: {key}={v}: {e}");
+            std::process::exit(1)
+        }),
+        Err(_) => default,
+    }
 }
 
 fn main() -> std::io::Result<()> {
@@ -53,9 +62,7 @@ fn main() -> std::io::Result<()> {
             std::process::exit(1);
         }
     };
-    let cfg = SimConfig::from_scheme(&scheme, seed);
-    let mean_processing = (cfg.proc_min + cfg.proc_max).mul_f64(0.5);
-    let mut net = Network::new(topo, cfg);
+    let mut net = Network::new(topo, SimConfig::from_scheme(&scheme, seed));
 
     println!(
         "== trace_timeline: {} routers, scheme '{}', {} shard(s) ==",
@@ -133,7 +140,7 @@ fn main() -> std::io::Result<()> {
     write("settle.csv", tl.settle_csv(t0))?;
     write(
         "unfinished_work.csv",
-        tl.unfinished_work_csv(mean_processing),
+        tl.unfinished_work_csv(NodeConfig::default().mean_processing()),
     )?;
     write("mrai_levels.csv", tl.level_csv())?;
     Ok(())

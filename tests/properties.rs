@@ -10,7 +10,7 @@ use bgpsim_bgp::{AsPath, Prefix, UpdateMsg};
 use bgpsim_des::{Scheduler, SimTime};
 use bgpsim_topology::degree::{is_graphical, DegreeSpec, SkewedSpec};
 use bgpsim_topology::generators::from_degree_sequence;
-use bgpsim_topology::placement::{place, DensityModel};
+use bgpsim_topology::placement::place;
 use bgpsim_topology::region::FailureSpec;
 use bgpsim_topology::{AsId, RouterId};
 use proptest::prelude::*;
@@ -171,8 +171,7 @@ proptest! {
             degrees[0] += 1;
         }
         prop_assume!(is_graphical(&degrees));
-        let positions = place(degrees.len(), DensityModel::Uniform,
-                              &mut SmallRng::seed_from_u64(seed));
+        let positions = place(degrees.len(), &mut SmallRng::seed_from_u64(seed));
         let mut rng = SmallRng::seed_from_u64(seed);
         match from_degree_sequence(&degrees, &positions, &mut rng) {
             Ok(topo) => {
