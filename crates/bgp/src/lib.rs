@@ -40,7 +40,6 @@
 //! scheduler. That keeps every protocol rule unit-testable without a
 //! simulation loop; the `bgpsim` crate provides the loop.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -270,14 +270,6 @@ pub struct ParallelReport {
     /// Worker threads actually used (requested count capped by the number
     /// of tasks in the batch).
     pub threads: usize,
-    /// Worker threads the caller asked for (the default-thread-count
-    /// resolution when the caller passed `None`). Recording both sides
-    /// keeps benchmark artifacts honest on machines with fewer cores than
-    /// the bench requests.
-    pub threads_requested: usize,
-    /// What `std::thread::available_parallelism()` reported at run time —
-    /// the hardware ceiling on real concurrency for this batch.
-    pub parallelism_available: usize,
     /// Per-trial wall-clock timings, in `(point, trial)` order.
     pub timings: Vec<TrialTiming>,
     /// How the batch's trials shared converged networks; always `Some`
@@ -364,13 +356,8 @@ pub fn run_all_parallel_timed(
 
     let workers = threads.min(tasks.len().max(1));
     // Trial workers are plain scoped threads: there are few of them and
-    // they live for the whole batch, so spawn cost is noise. The epoch
-    // fan-out inside each trial's sharded pump is what runs on the
-    // process-wide parked pool (`crate::pool::global`) — one pool,
-    // reused across every epoch of every trial in the batch, so sweeps
-    // never pay a per-trial thread-pool setup. Concurrent pumps open
-    // concurrent scopes on that shared pool; its helping barrier keeps
-    // them from starving each other even when workers < pumps.
+    // they live for the whole batch, so spawn cost is noise. Each sharded
+    // pump starts a thread crew of its own; pumps share no threads.
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
@@ -416,10 +403,6 @@ pub fn run_all_parallel_timed(
         aggregates,
         ParallelReport {
             threads: workers,
-            threads_requested: threads,
-            parallelism_available: std::thread::available_parallelism()
-                .map(usize::from)
-                .unwrap_or(1),
             timings,
             warm: Some(warm.into_inner().expect("no poisoned trials")),
         },

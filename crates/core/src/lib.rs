@@ -52,7 +52,6 @@
 //! assert!(agg.mean_messages() > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
@@ -61,7 +60,6 @@ pub mod extensions;
 pub mod figures;
 pub mod metrics;
 pub mod network;
-pub mod pool;
 pub mod report;
 pub mod scenario;
 pub mod scheme;

@@ -28,10 +28,10 @@
 //!    summed or maxed per shard. The shard hands the walk one compact
 //!    [`Rec`] per handled event that needs ids or carries trace events.
 //!    Cross-node sends always land at `t + link_delay >= epoch_end` — the
-//!    lookahead argument — so shards never talk mid-epoch. Jobs run on the
-//!    process-wide parked worker pool ([`crate::pool`]); small epochs
-//!    (predicted from the previous epoch's size, see
-//!    [`PHASE_A_PAR_MIN_OPS`]) run inline on the coordinator instead.
+//!    lookahead argument — so shards never talk mid-epoch. The pump's own
+//!    thread [`Crew`] runs the engaged shards; small epochs (predicted
+//!    from the previous epoch's size, see [`PHASE_A_PAR_MIN_OPS`]) run
+//!    inline on the coordinator instead.
 //! 2. **Walk (serial, Phase B).** Merge the shards' record lists in global
 //!    `(time, id)` order, allocate each record's ids as one block
 //!    (`id_base`), and emit its trace events. The walk touches no payloads
@@ -103,7 +103,10 @@
 //! (samples read global state mid-epoch).
 
 use std::collections::BinaryHeap;
-use std::sync::{Mutex, RwLock};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use std::sync::{Arc, Mutex, RwLock};
+use std::thread::{Scope, Thread};
 use std::time::Instant;
 
 use bgpsim_bgp::node::Action;
@@ -123,7 +126,7 @@ use crate::trace::TraceSink;
 const LOCAL_KEY_BASE: u64 = 1 << 63;
 
 /// Epochs *predicted* to handle fewer events than this run Phase A on the
-/// coordinator thread instead of the worker pool — waking workers costs
+/// coordinator thread instead of the crew — waking workers costs
 /// more than executing a handful of handlers directly. The predictor is
 /// the previous epoch's delivered count (the drain is shard-local, so the
 /// coordinator does not see the count before fan-out); epoch sizes are
@@ -147,9 +150,9 @@ pub struct ShardPhaseTimings {
     /// Always 0: the single-pass epoch has no commit stage to run in
     /// parallel. Kept so existing readers of the struct still build.
     pub parallel_commit_epochs: u64,
-    /// Epochs whose Phase A ran on the coordinator thread (predicted
-    /// smaller than [`PHASE_A_PAR_MIN_OPS`] — a pool wake would cost more
-    /// than the handlers).
+    /// Epochs whose Phase A ran on the coordinator thread alone: the
+    /// previous epoch delivered so few events that waking the crew would
+    /// cost more than the handlers.
     pub inline_phase_a_epochs: u64,
     /// Serial FEL bookkeeping outside the phases: the pump-start
     /// partition of the central FEL onto the shards, plus the per-epoch
@@ -375,9 +378,9 @@ struct EpochCtx<'a> {
 
 /// Everything one shard owns for the duration of a pump: its private
 /// future-event list, its block of routers, its Phase A scratch buffers,
-/// and the output it is building. Behind a [`Mutex`] only so pool jobs and
-/// the coordinator's inline path can run the same code on it; the epoch
-/// protocol guarantees every lock is uncontended.
+/// and the output it is building. Behind a [`Mutex`] only so whichever
+/// crew member claims the shard can run Phase A on it; the epoch protocol
+/// guarantees every lock is uncontended.
 struct ShardSlot {
     fel: Scheduler<Ev>,
     base: usize,
@@ -395,8 +398,8 @@ struct ShardSlot {
 /// The whole of Phase A for one engaged shard: file last epoch's mail into
 /// the FEL under resolved ids, drain the FEL to `epoch_end`, and run the
 /// handlers, turning their actions into mail, local follow-ups and walk
-/// records as they come. Runs either as a pool job or inline on the
-/// coordinator — same code, so the paths cannot diverge.
+/// records as they come. Runs on whichever crew member claims the shard,
+/// or inline on the coordinator — same code, so the paths cannot diverge.
 fn run_shard_epoch(
     ctx: &EpochCtx<'_>,
     shard: usize,
@@ -561,12 +564,185 @@ fn walk(
     }
 }
 
-/// Drains the event queue with `net.shards` shard-owned FELs on the
-/// process-wide worker pool; externally indistinguishable from
+/// Spin-loop rounds (about 11 µs) a waiting crew member burns before it
+/// parks. Six rotations of `caida512-2shard` against the condvar-parked
+/// pool the crew replaced, on a 2-vCPU KVM guest of a Xeon host: 2^9
+/// rounds kept user CPU within 1.1% of the pool's and cut system CPU by
+/// 35%; 2^12 raised user CPU by 9%; parking at once cut system CPU by 18%.
+const SPIN_ROUNDS: u32 = 1 << 9;
+
+/// The crew generation that dismisses the workers; odd, so it wakes them.
+const DISMISSED: u64 = u64::MAX;
+
+/// Spins, then parks, until `ready` yields. Whoever makes it yield must
+/// unpark the waiting thread.
+fn wait_for<T>(ready: impl Fn() -> Option<T>) -> T {
+    for _ in 0..SPIN_ROUNDS {
+        if let Some(v) = ready() {
+            return v;
+        }
+        std::hint::spin_loop();
+    }
+    loop {
+        if let Some(v) = ready() {
+            return v;
+        }
+        std::thread::park();
+    }
+}
+
+/// What a coordinator publishes to its crew.
+struct CrewState {
+    /// Odd while an epoch is open, even once it is closed. The open's
+    /// Release publishes the Relaxed fields below to Acquire loads of it.
+    generation: AtomicU64,
+    /// The epoch's end, in nanoseconds.
+    epoch_end: AtomicU64,
+    engaged: Vec<AtomicBool>,
+    /// The next shard to claim.
+    next: AtomicUsize,
+    /// Workers inside the epoch. A check-out's Release decrement publishes
+    /// `panicked` and the worker's jobs to the coordinator's load of it.
+    running: AtomicUsize,
+    panicked: AtomicBool,
+    coordinator: Thread,
+}
+
+impl CrewState {
+    /// Claims the next engaged shard, if one is left.
+    fn next_engaged(&self) -> Option<usize> {
+        loop {
+            let s = self.next.fetch_add(1, Relaxed);
+            if self.engaged.get(s)?.load(Relaxed) {
+                return Some(s);
+            }
+        }
+    }
+
+    /// Runs `job` on `first`, if any, then on claimed shards until none are left.
+    fn claim(&self, mut first: Option<usize>, job: &impl Fn(usize, SimTime)) {
+        let epoch_end = SimTime::from_nanos(self.epoch_end.load(Relaxed));
+        while let Some(s) = first.take().or_else(|| self.next_engaged()) {
+            job(s, epoch_end);
+        }
+    }
+}
+
+/// The threads that run Phase A for one pump: the coordinator (the
+/// pumping thread) and `size − 1` scoped workers, all claiming engaged
+/// shards from one counter. Dropping the crew, at the pump's end or while
+/// the coordinator unwinds, dismisses the workers so the scope can join.
+struct Crew<'scope, J> {
+    state: Arc<CrewState>,
+    workers: Vec<Thread>,
+    job: &'scope J,
+}
+
+impl<'scope, J: Fn(usize, SimTime) + Sync> Crew<'scope, J> {
+    fn start<'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        size: usize,
+        shards: usize,
+        job: &'scope J,
+    ) -> Self {
+        let state = Arc::new(CrewState {
+            generation: AtomicU64::new(0),
+            epoch_end: AtomicU64::new(0),
+            engaged: (0..shards).map(|_| AtomicBool::new(false)).collect(),
+            next: AtomicUsize::new(0),
+            running: AtomicUsize::new(0),
+            panicked: AtomicBool::new(false),
+            coordinator: std::thread::current(),
+        });
+        Crew {
+            workers: (1..size)
+                .map(|_| {
+                    let state = Arc::clone(&state);
+                    std::thread::Builder::new()
+                        .name("shard-crew".into())
+                        .spawn_scoped(scope, move || crew_worker(&state, job))
+                        .expect("failed to spawn a crew worker")
+                        .thread()
+                        .clone()
+                })
+                .collect(),
+            state,
+            job,
+        }
+    }
+
+    /// One epoch: runs `job(s, epoch_end)` once per engaged shard `s`, and
+    /// returns once every worker that joined has checked out, re-raising panics.
+    fn run(&self, epoch_end: SimTime, engaged: &[bool]) {
+        let st = &*self.state;
+        st.epoch_end.store(epoch_end.as_nanos(), Relaxed);
+        for (slot, &on) in st.engaged.iter().zip(engaged) {
+            slot.store(on, Relaxed);
+        }
+        st.next.store(0, Relaxed);
+        // Taking the first shard before the wake keeps, with two members,
+        // each shard and its caches on one core from epoch to epoch.
+        let first = st.next_engaged();
+        let open = st.generation.fetch_add(1, Release) + 1;
+        for worker in &self.workers {
+            worker.unpark();
+        }
+        st.claim(first, self.job);
+        // Close the epoch: a worker that has not joined it by now stays
+        // out, so a worker the host deschedules cannot hold it up.
+        st.generation.store(open + 1, SeqCst);
+        wait_for(|| (st.running.load(SeqCst) == 0).then_some(()));
+        assert!(!st.panicked.load(Relaxed), "a crew worker's job panicked");
+    }
+}
+
+impl<J> Drop for Crew<'_, J> {
+    fn drop(&mut self) {
+        self.state.generation.store(DISMISSED, Release);
+        for worker in &self.workers {
+            worker.unpark();
+        }
+    }
+}
+
+fn crew_worker(st: &CrewState, job: &impl Fn(usize, SimTime)) {
+    let mut seen = 0;
+    loop {
+        seen = wait_for(|| Some(st.generation.load(Acquire)).filter(|g| g % 2 == 1 && *g != seen));
+        if seen == DISMISSED {
+            return;
+        }
+        // Join, then claim only if the epoch is still open: SeqCst on both
+        // sides means the close either counts this worker or is seen by it.
+        st.running.fetch_add(1, SeqCst);
+        let _check_out = CheckOut(st);
+        if st.generation.load(SeqCst) == seen {
+            st.claim(None, job);
+        }
+    }
+}
+
+/// Checks a worker out of its epoch, also when its job panics.
+struct CheckOut<'a>(&'a CrewState);
+
+impl Drop for CheckOut<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.panicked.store(true, Relaxed);
+        }
+        if self.0.running.fetch_sub(1, Release) == 1 {
+            self.0.coordinator.unpark();
+        }
+    }
+}
+
+/// Drains the event queue with `net.shards` shard-owned FELs on a thread
+/// crew of the pump's own; externally indistinguishable from
 /// `Network::pump`'s serial drain.
 pub(crate) fn pump_sharded(net: &mut Network) {
     let n = net.topo.num_routers();
     let shards = net.shards.min(n.max(1));
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
 
     // World state frozen for the duration of the pump.
     let alive: Vec<bool> = net.nodes.iter().map(Option::is_some).collect();
@@ -644,99 +820,88 @@ pub(crate) fn pump_sharded(net: &mut Network) {
     let mut mail_min: Vec<Option<SimTime>> = vec![None; shards];
     let mut engaged = vec![false; shards];
     let mut cursors = vec![Cursor::default(); shards];
-    let pool = crate::pool::global();
     // Phase A size predictor: the previous epoch's delivered count (see
     // PHASE_A_PAR_MIN_OPS). Starts at 0 so the first epoch runs inline.
     let mut predicted_ops = 0usize;
+    let phase_a = |s: usize, epoch_end: SimTime| {
+        let mut slot = slots[s].lock().expect("slot mutex poisoned");
+        let prev = prev.read().expect("epoch outputs poisoned");
+        run_shard_epoch(&ctx, s, &mut slot, &prev, epoch_end);
+    };
 
-    // One pool scope spans every epoch of the pump (and the pool itself
-    // spans every pump in the process): an epoch costs condvar wakes, not
-    // thread spawns or channel hops.
-    pool.scope(|scope| loop {
-        // Find the epoch start t0 over the cached FEL heads and mail
-        // minima, and engage every shard with an event before epoch_end
-        // or with mail to file.
-        let scan_start = Instant::now();
-        let Some(t0) = peeks.iter().chain(&mail_min).flatten().min().copied() else {
-            break;
-        };
-        let epoch_end = t0 + LINK_DELAY;
-        for s in 0..shards {
-            engaged[s] = peeks[s].is_some_and(|p| p < epoch_end) || mail_min[s].is_some();
-        }
-        timings.drain_secs += scan_start.elapsed().as_secs_f64();
-
-        // Phase A — on the pool, or inline when the predictor says the
-        // epoch is too small to pay for a wake.
-        let epoch_start = Instant::now();
-        if predicted_ops < PHASE_A_PAR_MIN_OPS {
-            timings.inline_phase_a_epochs += 1;
-            let prev = prev.read().expect("epoch outputs poisoned");
-            for (s, slot) in slots.iter().enumerate() {
-                if engaged[s] {
-                    let mut slot = slot.lock().expect("slot mutex poisoned");
-                    run_shard_epoch(&ctx, s, &mut slot, &prev, epoch_end);
-                }
+    std::thread::scope(|scope| {
+        let crew = Crew::start(scope, cores.min(shards), shards, &phase_a);
+        loop {
+            // Find the epoch start t0 over the cached FEL heads and mail
+            // minima, and engage every shard with an event before epoch_end
+            // or with mail to file.
+            let scan_start = Instant::now();
+            let Some(t0) = peeks.iter().chain(&mail_min).flatten().min().copied() else {
+                break;
+            };
+            let epoch_end = t0 + LINK_DELAY;
+            for s in 0..shards {
+                engaged[s] = peeks[s].is_some_and(|p| p < epoch_end) || mail_min[s].is_some();
             }
-        } else {
-            for (s, slot) in slots.iter().enumerate() {
-                if !engaged[s] {
-                    continue;
-                }
-                let (ctx, prev) = (&ctx, &prev);
-                scope.spawn(move || {
-                    let mut slot = slot.lock().expect("slot mutex poisoned");
-                    let prev = prev.read().expect("epoch outputs poisoned");
-                    run_shard_epoch(ctx, s, &mut slot, &prev, epoch_end);
-                });
-            }
-            scope.wait();
-        }
-        timings.phase_a_secs += epoch_start.elapsed().as_secs_f64();
+            timings.drain_secs += scan_start.elapsed().as_secs_f64();
 
-        // Barrier step: the outputs just filed are retired for reuse, the
-        // fresh ones take their place, and the per-shard counters and
-        // mail minima are summed up.
-        let exchange_start = Instant::now();
-        let mut outs = prev.write().expect("epoch outputs poisoned");
-        for (s, out) in outs.iter_mut().enumerate() {
-            if engaged[s] {
-                let mut slot = slots[s].lock().expect("slot mutex poisoned");
-                std::mem::swap(&mut slot.out, out);
-                slot.out.reset();
-                peeks[s] = out.next_peek;
+            // Phase A — on the crew, or inline when the predictor says the
+            // epoch is too small to pay for a wake.
+            let epoch_start = Instant::now();
+            if predicted_ops < PHASE_A_PAR_MIN_OPS {
+                timings.inline_phase_a_epochs += 1;
+                for s in (0..shards).filter(|&s| engaged[s]) {
+                    phase_a(s, epoch_end);
+                }
             } else {
-                out.reset();
+                crew.run(epoch_end, &engaged);
             }
-        }
-        let (mut delivered, mut t_last, mut active_at) = (0u64, t0, None);
-        mail_min.fill(None);
-        for out in outs.iter() {
-            delivered += out.delivered;
-            t_last = t_last.max(out.t_last);
-            active_at = active_at.max(out.active_at);
-            net.announcements += out.announcements;
-            net.withdrawals += out.withdrawals;
-            for (min, &m) in mail_min.iter_mut().zip(&out.mail_min) {
-                *min = match (*min, m) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-        }
-        debug_assert!(delivered > 0, "an epoch always delivers its t0 event");
-        predicted_ops = delivered as usize;
-        timings.mailbox_exchange_secs += exchange_start.elapsed().as_secs_f64();
+            timings.phase_a_secs += epoch_start.elapsed().as_secs_f64();
 
-        // Phase B — the serial walk.
-        let walk_start = Instant::now();
-        walk(&mut outs, &mut cursors, &mut net.sched, &mut net.trace);
-        net.sched.mark_delivered_many(t_last, delivered);
-        if let Some(t) = active_at {
-            net.last_activity = t;
+            // Barrier step: the outputs just filed are retired for reuse, the
+            // fresh ones take their place, and the per-shard counters and
+            // mail minima are summed up.
+            let exchange_start = Instant::now();
+            let mut outs = prev.write().expect("epoch outputs poisoned");
+            for (s, out) in outs.iter_mut().enumerate() {
+                if engaged[s] {
+                    let mut slot = slots[s].lock().expect("slot mutex poisoned");
+                    std::mem::swap(&mut slot.out, out);
+                    slot.out.reset();
+                    peeks[s] = out.next_peek;
+                } else {
+                    out.reset();
+                }
+            }
+            let (mut delivered, mut t_last, mut active_at) = (0u64, t0, None);
+            mail_min.fill(None);
+            for out in outs.iter() {
+                delivered += out.delivered;
+                t_last = t_last.max(out.t_last);
+                active_at = active_at.max(out.active_at);
+                net.announcements += out.announcements;
+                net.withdrawals += out.withdrawals;
+                for (min, &m) in mail_min.iter_mut().zip(&out.mail_min) {
+                    *min = match (*min, m) {
+                        (Some(a), Some(b)) => Some(a.min(b)),
+                        (a, b) => a.or(b),
+                    };
+                }
+            }
+            debug_assert!(delivered > 0, "an epoch always delivers its t0 event");
+            predicted_ops = delivered as usize;
+            timings.mailbox_exchange_secs += exchange_start.elapsed().as_secs_f64();
+
+            // Phase B — the serial walk.
+            let walk_start = Instant::now();
+            walk(&mut outs, &mut cursors, &mut net.sched, &mut net.trace);
+            net.sched.mark_delivered_many(t_last, delivered);
+            if let Some(t) = active_at {
+                net.last_activity = t;
+            }
+            timings.phase_b_secs += walk_start.elapsed().as_secs_f64();
+            timings.epochs += 1;
         }
-        timings.phase_b_secs += walk_start.elapsed().as_secs_f64();
-        timings.epochs += 1;
     });
 
     // Quiescent: every shard FEL and mailbox drained; reassemble the
@@ -1068,7 +1233,7 @@ mod tests {
     fn small_epochs_run_phase_a_inline() {
         // The origination trickle and the post-storm tail both produce
         // epochs with a handful of events — those must take the inline
-        // path, and bigger epochs must still reach the worker pool. The
+        // path, and bigger epochs must still reach the crew. The
         // identity of the two paths is pinned by every other test in this
         // module (they all run epochs on both sides of the threshold).
         let (_, net) = run_with_shards(2);
@@ -1079,8 +1244,71 @@ mod tests {
         );
         assert!(
             t.inline_phase_a_epochs < t.epochs,
-            "no epoch was big enough for the worker-pool path"
+            "no epoch was big enough for the crew path"
         );
+    }
+
+    #[test]
+    fn a_job_panic_on_either_side_returns() {
+        // The other side waits until the panicking side has started a job. A
+        // detached thread with a deadline turns a hung crew into a failure.
+        for worker_panics in [true, false] {
+            let started = AtomicBool::new(false);
+            let job = move |_: usize, _: SimTime| {
+                if (std::thread::current().name() == Some("shard-crew")) == worker_panics {
+                    started.store(true, Release);
+                    panic!("a Phase A job");
+                }
+                while !started.load(Acquire) {
+                    std::thread::yield_now();
+                }
+            };
+            let (done, outcome) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut epochs = 0;
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    std::thread::scope(|scope| {
+                        let crew = Crew::start(scope, 2, 2, &job);
+                        for e in 0..3 {
+                            crew.run(SimTime::from_nanos(e), &[true; 2]);
+                            epochs += 1;
+                        }
+                    })
+                }));
+                done.send((run.is_err(), epochs))
+                    .expect("the test is waiting");
+            });
+            // Ok((true, 0)): the panic surfaced at the end of the first epoch.
+            let outcome = outcome.recv_timeout(std::time::Duration::from_secs(60));
+            assert_eq!(outcome, Ok((true, 0)), "worker_panics = {worker_panics}");
+        }
+    }
+
+    #[test]
+    fn every_engaged_shard_runs_once_per_epoch() {
+        // 7 shards on a crew of 3, and on a crew of 1 (a one-core host),
+        // which must run every job on the calling thread.
+        let caller = std::thread::current().id();
+        for size in [3, 1] {
+            let ran = Mutex::new(Vec::new());
+            let job = |s: usize, end: SimTime| {
+                assert!(size > 1 || std::thread::current().id() == caller);
+                ran.lock().unwrap().push((s, end));
+            };
+            std::thread::scope(|scope| {
+                let crew = Crew::start(scope, size, 7, &job);
+                assert_eq!(crew.workers.len(), size - 1);
+                for e in 0..1000u64 {
+                    let engaged: Vec<bool> = (0..7).map(|s| (e + s) % 3 != 0).collect();
+                    let end = SimTime::from_nanos(e);
+                    crew.run(end, &engaged);
+                    let mut got = std::mem::take(&mut *ran.lock().unwrap());
+                    got.sort_unstable();
+                    let want: Vec<_> = (0..7).filter(|&s| engaged[s]).map(|s| (s, end)).collect();
+                    assert_eq!(got, want, "crew of {size}, epoch {e}");
+                }
+            });
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@
 //! assert_eq!(t, SimTime::ZERO + SimDuration::from_millis(10));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod event;

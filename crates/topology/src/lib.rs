@@ -35,7 +35,6 @@
 //! # Ok::<(), bgpsim_topology::TopologyError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod degree;

@@ -146,7 +146,7 @@ fn single_destination_full_mesh_matches_serial() {
     // Degenerate workload: every router sits in one AS, so the whole run
     // concerns a single prefix over a full iBGP mesh — every router mails
     // every shard in every busy epoch. Identity must hold, and the epochs
-    // are busy enough that Phase A actually fans out to the worker pool.
+    // are busy enough that Phase A actually fans out to the epoch crew.
     use bgpsim_topology::{AsId, Point, Router, RouterId};
     let n = 24usize;
     let build = |shards: usize| {
