@@ -2,8 +2,9 @@
 //!
 //! [`BgpNode`] is a *sans-io* state machine: event handlers take the current
 //! simulation time and append [`Action`]s for the driver to execute to a
-//! caller-owned buffer (the `*_into` methods; the `Vec`-returning ones wrap
-//! them for one-off callers). The
+//! caller-owned buffer (the `*_into` methods; `on_update`, `on_proc_done`
+//! and `on_mrai_expiry` also come in `Vec`-returning form for one-off
+//! callers). The
 //! processing model is a single server — one batch of queued updates is in
 //! service at a time, for the sum of the per-update U(proc_min, proc_max)
 //! delays — which is precisely the overload mechanism the paper studies:
@@ -191,7 +192,7 @@ impl PeerTable {
 }
 
 /// Runs an appending handler into a fresh buffer — the body of every
-/// `Vec`-returning handler wrapper.
+/// `Vec`-returning handler wrapper, and how the tests call the rest.
 fn collect(handler: impl FnOnce(&mut Vec<Action>)) -> Vec<Action> {
     let mut out = Vec::new();
     handler(&mut out);
@@ -218,7 +219,8 @@ type PrependCache = RefCell<HashMap<usize, (AsPath, AsPath)>>;
 /// let mut a = BgpNode::new(RouterId::new(0), AsId::new(0), cfg.clone(),
 ///                          SmallRng::seed_from_u64(1));
 /// a.add_peer(RouterId::new(1), false);
-/// let actions = a.originate(SimTime::ZERO, Prefix::new(0));
+/// let mut actions = Vec::new();
+/// a.originate_into(SimTime::ZERO, Prefix::new(0), &mut actions);
 /// assert!(actions.iter().any(|act| matches!(act, Action::Send { .. })));
 /// ```
 #[derive(Clone, Debug)]
@@ -404,10 +406,6 @@ impl BgpNode {
 
     /// Accumulated counters.
     pub fn stats(&self) -> &NodeStats {
-        self.stats_with_queue()
-    }
-
-    fn stats_with_queue(&self) -> &NodeStats {
         &self.stats
     }
 
@@ -475,11 +473,6 @@ impl BgpNode {
         }
     }
 
-    /// Whether trace recording is on.
-    pub fn tracing(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Drains the buffered trace events in recording order, keeping the
     /// buffer's capacity (the driver calls this after every handler).
     pub fn drain_trace(&mut self) -> impl Iterator<Item = NodeEvent> + '_ {
@@ -488,12 +481,6 @@ impl BgpNode {
             .map(|b| b.drain(..))
             .into_iter()
             .flatten()
-    }
-
-    /// Takes the buffered trace events as a `Vec`, leaving an empty buffer
-    /// behind.
-    pub fn take_trace(&mut self) -> Vec<NodeEvent> {
-        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     #[inline]
@@ -528,12 +515,8 @@ impl BgpNode {
 
     /// Originates `prefix` locally: it becomes one of this node's own
     /// prefixes, is installed in the Loc-RIB and advertised to every peer.
-    /// A node may originate any number of prefixes.
-    pub fn originate(&mut self, now: SimTime, prefix: Prefix) -> Vec<Action> {
-        collect(|out| self.originate_into(now, prefix, out))
-    }
-
-    /// [`originate`](Self::originate), appending the actions to `out`.
+    /// A node may originate any number of prefixes. Appends the actions to
+    /// `out`.
     pub fn originate_into(&mut self, now: SimTime, prefix: Prefix, out: &mut Vec<Action>) {
         // Freeze before the install: the frozen values must capture what
         // each peer last heard, i.e. the export of the *pre-change* Loc-RIB.
@@ -549,11 +532,11 @@ impl BgpNode {
     }
 
     /// Withdraws a locally originated `prefix` — the inverse of
-    /// [`originate`](Self::originate). The zero-hop local route leaves the
-    /// Loc-RIB, the best learned route (if any) takes over, and every peer
-    /// hears the change (withdrawal or replacement) subject to MRAI. A
-    /// no-op if the prefix is not currently originated here. Appends the
-    /// actions to `out`.
+    /// [`originate_into`](Self::originate_into). The zero-hop local route
+    /// leaves the Loc-RIB, the best learned route (if any) takes over, and
+    /// every peer hears the change (withdrawal or replacement) subject to
+    /// MRAI. A no-op if the prefix is not currently originated here.
+    /// Appends the actions to `out`.
     pub fn withdraw_origin_into(&mut self, now: SimTime, prefix: Prefix, out: &mut Vec<Action>) {
         if !self.own_prefixes.remove(&prefix) {
             return;
@@ -779,18 +762,7 @@ impl BgpNode {
     /// marked dirty towards the new peer, exactly like a real BGP session
     /// coming up (RFC 1771 §3: "initially, the entire BGP routing table is
     /// exchanged"). Export filters (split horizon, policies) apply as
-    /// usual when the routes are emitted.
-    pub fn on_peer_up(
-        &mut self,
-        now: SimTime,
-        peer: RouterId,
-        ibgp: bool,
-        rel: Option<Relationship>,
-    ) -> Vec<Action> {
-        collect(|out| self.on_peer_up_into(now, peer, ibgp, rel, out))
-    }
-
-    /// [`on_peer_up`](Self::on_peer_up), appending the actions to `out`.
+    /// usual when the routes are emitted. Appends the actions to `out`.
     pub fn on_peer_up_into(
         &mut self,
         now: SimTime,
@@ -814,13 +786,7 @@ impl BgpNode {
     /// All routes learned from the peer must be revalidated; one
     /// [`WorkItem::ImplicitWithdraw`] per affected prefix is queued so the
     /// cleanup costs processing time, exactly like received withdrawals
-    /// would.
-    pub fn on_peer_down(&mut self, now: SimTime, peer: RouterId) -> Vec<Action> {
-        collect(|out| self.on_peer_down_into(now, peer, out))
-    }
-
-    /// [`on_peer_down`](Self::on_peer_down), appending the actions to
-    /// `out`.
+    /// would. Appends the actions to `out`.
     pub fn on_peer_down_into(&mut self, _now: SimTime, peer: RouterId, out: &mut Vec<Action>) {
         if self.peers.remove(peer).is_none() {
             return;
@@ -943,19 +909,7 @@ impl BgpNode {
 
     /// Handles a damping reuse-timer expiry: releases the route if the
     /// penalty has decayed (re-arming otherwise) and re-runs the decision
-    /// process with the parked state.
-    pub fn on_reuse_expiry(
-        &mut self,
-        now: SimTime,
-        peer: RouterId,
-        prefix: Prefix,
-        gen: u64,
-    ) -> Vec<Action> {
-        collect(|out| self.on_reuse_expiry_into(now, peer, prefix, gen, out))
-    }
-
-    /// [`on_reuse_expiry`](Self::on_reuse_expiry), appending the actions
-    /// to `out`.
+    /// process with the parked state. Appends the actions to `out`.
     pub fn on_reuse_expiry_into(
         &mut self,
         now: SimTime,
@@ -1473,7 +1427,7 @@ mod tests {
     fn originate_advertises_with_prepend_and_starts_timer() {
         let mut n = node(0, fast_cfg());
         n.add_peer(rid(1), false);
-        let acts = n.originate(SimTime::ZERO, pfx(0));
+        let acts = collect(|out| n.originate_into(SimTime::ZERO, pfx(0), out));
         let s = sends(&acts);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].0, rid(1));
@@ -1716,7 +1670,7 @@ mod tests {
         );
         fire_mrai(&mut n, SimTime::from_secs(2), &acts);
         // Session to peer 0 dies: two implicit withdraws queue up.
-        let acts = n.on_peer_down(SimTime::from_secs(10), rid(0));
+        let acts = collect(|out| n.on_peer_down_into(SimTime::from_secs(10), rid(0), out));
         assert!(acts
             .iter()
             .any(|a| matches!(a, Action::StartProcessing { .. })));
@@ -1741,7 +1695,7 @@ mod tests {
     fn update_from_dead_peer_is_dropped() {
         let mut n = node(1, fast_cfg());
         n.add_peer(rid(0), false);
-        n.on_peer_down(SimTime::ZERO, rid(0));
+        collect(|out| n.on_peer_down_into(SimTime::ZERO, rid(0), out));
         let acts = n.on_update(
             SimTime::from_millis(1),
             rid(0),
@@ -2430,11 +2384,12 @@ mod tests {
             UpdateMsg::advertise(pfx(5), AsPath::from_hops([asn(0)])),
         );
         fire_mrai(&mut n, SimTime::from_secs(1), &acts);
-        let acts = n.originate(SimTime::from_secs(2), pfx(1));
+        let acts = collect(|out| n.originate_into(SimTime::from_secs(2), pfx(1), out));
         fire_mrai(&mut n, SimTime::from_secs(3), &acts);
         // A new session comes up: the whole Loc-RIB goes out, filtered by
         // split horizon (nothing here was learned from the new peer).
-        let acts = n.on_peer_up(SimTime::from_secs(4), rid(2), false, None);
+        let acts =
+            collect(|out| n.on_peer_up_into(SimTime::from_secs(4), rid(2), false, None, out));
         let announced: Vec<Prefix> = sends(&acts)
             .into_iter()
             .filter(|(to, m)| *to == rid(2) && m.action.is_advertise())
@@ -2465,23 +2420,29 @@ mod tests {
         );
         // A peer session comes up: the provider route must NOT be exported
         // to a peer (valley-free), so the exchange stays empty.
-        let acts = n.on_peer_up(
-            SimTime::from_secs(1),
-            rid(2),
-            false,
-            Some(Relationship::Peer),
-        );
+        let acts = collect(|out| {
+            n.on_peer_up_into(
+                SimTime::from_secs(1),
+                rid(2),
+                false,
+                Some(Relationship::Peer),
+                out,
+            )
+        });
         assert!(
             sends(&acts).is_empty(),
             "valley-free filter must apply at session up"
         );
         // A customer session comes up: the route goes out.
-        let acts = n.on_peer_up(
-            SimTime::from_secs(2),
-            rid(3),
-            false,
-            Some(Relationship::Customer),
-        );
+        let acts = collect(|out| {
+            n.on_peer_up_into(
+                SimTime::from_secs(2),
+                rid(3),
+                false,
+                Some(Relationship::Customer),
+                out,
+            )
+        });
         assert_eq!(sends(&acts).len(), 1);
     }
 
@@ -2537,7 +2498,7 @@ mod tests {
         );
         // Fire the reuse timer after the computed delay (plus slack).
         let at = t + delay + SimDuration::from_secs(60);
-        let acts = n.on_reuse_expiry(at, peer, prefix, gen);
+        let acts = collect(|out| n.on_reuse_expiry_into(at, peer, prefix, gen, out));
         assert_eq!(n.suppressed_count(), 0);
         let best = n
             .loc_rib()
@@ -2616,9 +2577,9 @@ mod tests {
         assert_eq!(n.suppressed_count(), 1);
         // Session teardown and re-establishment: the damping state for
         // peer 0 dies while the gen1 reuse timer is still in flight.
-        n.on_peer_down(SimTime::from_secs(10), rid(0));
+        collect(|out| n.on_peer_down_into(SimTime::from_secs(10), rid(0), out));
         assert_eq!(n.suppressed_count(), 0);
-        n.on_peer_up(SimTime::from_secs(11), rid(0), false, None);
+        collect(|out| n.on_peer_up_into(SimTime::from_secs(11), rid(0), false, None, out));
         let (_, gen2) = suppress(&mut n, SimTime::from_secs(12)).expect("second suppression");
         assert!(
             gen2 > gen1,
@@ -2628,7 +2589,9 @@ mod tests {
         // The pre-teardown timer fires late enough that the penalty has
         // decayed — if its generation aliased, this would release the new
         // suppression and re-advertise a flapping route.
-        let acts = n.on_reuse_expiry(SimTime::from_secs(500), rid(0), pfx(9), gen1);
+        let acts = collect(|out| {
+            n.on_reuse_expiry_into(SimTime::from_secs(500), rid(0), pfx(9), gen1, out)
+        });
         assert!(
             acts.is_empty(),
             "stale pre-teardown reuse timer must be a no-op, got {acts:?}"
@@ -2646,7 +2609,8 @@ mod tests {
             .build();
         let mut n = node(1, cfg);
         n.add_peer(rid(0), false);
-        let acts = n.on_reuse_expiry(SimTime::from_secs(1), rid(0), pfx(9), 7);
+        let acts =
+            collect(|out| n.on_reuse_expiry_into(SimTime::from_secs(1), rid(0), pfx(9), 7, out));
         assert!(acts.is_empty(), "no state ⇒ no action");
     }
 

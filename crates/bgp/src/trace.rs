@@ -8,7 +8,7 @@
 //! (the unfinished-work signal), and per-destination best-path churn.
 //!
 //! Events are buffered inside the node in handler-execution order and
-//! drained by the simulation driver ([`BgpNode::take_trace`]), which
+//! drained by the simulation driver ([`BgpNode::drain_trace`]), which
 //! stamps them with the global `(time, node, seq)` coordinates. The node
 //! itself never sees a clock beyond the handler's `now`, keeping the
 //! sans-io contract intact.
@@ -18,7 +18,7 @@
 //! an untraced one.
 //!
 //! [`BgpNode::set_tracing`]: crate::BgpNode::set_tracing
-//! [`BgpNode::take_trace`]: crate::BgpNode::take_trace
+//! [`BgpNode::drain_trace`]: crate::BgpNode::drain_trace
 
 use bgpsim_des::SimDuration;
 use bgpsim_topology::RouterId;

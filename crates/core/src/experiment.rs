@@ -164,28 +164,19 @@ impl Experiment {
     }
 
     /// Runs a single trial with re-convergence tracing: the network
-    /// converges untraced, a memory sink (capacity `trace_capacity`
-    /// events, [`DEFAULT_MEMORY_CAPACITY`](crate::trace::DEFAULT_MEMORY_CAPACITY)
-    /// when `None`) is attached at failure injection, and the recorded
-    /// stream comes back with the stats. Tracing is observation-only, so
-    /// `stats` is bit-identical to [`run_trial`](Experiment::run_trial).
-    pub fn run_trial_traced(&self, trial: u32, trace_capacity: Option<usize>) -> TracedTrial {
+    /// converges untraced, a memory sink that keeps every event is
+    /// attached at failure injection, and the recorded stream comes back
+    /// with the stats. Tracing is observation-only, so `stats` is
+    /// bit-identical to [`run_trial`](Experiment::run_trial).
+    pub fn run_trial_traced(&self, trial: u32) -> TracedTrial {
         let mut net = self.build_network(trial);
         net.run_initial_convergence();
         net.inject_failure(&self.failure);
-        let capacity = trace_capacity.unwrap_or(crate::trace::DEFAULT_MEMORY_CAPACITY);
-        net.set_trace_sink(crate::trace::TraceSink::memory(capacity));
+        net.set_trace_sink(crate::trace::TraceSink::memory(usize::MAX));
         let stats = net.run_to_quiescence();
-        let failure_time = net.failure_time().expect("failure was injected");
-        let dropped = net
-            .trace_sink()
-            .memory_events()
-            .map(|m| m.dropped())
-            .unwrap_or(0);
         TracedTrial {
             stats,
-            failure_time,
-            dropped,
+            failure_time: net.failure_time().expect("failure was injected"),
             events: net.take_trace_events(),
         }
     }
@@ -231,9 +222,7 @@ pub struct TracedTrial {
     pub stats: RunStats,
     /// When the failure took effect — the `t0` timelines measure from.
     pub failure_time: bgpsim_des::SimTime,
-    /// Events evicted by the memory ring (0 = the trace is complete).
-    pub dropped: u64,
-    /// The recorded re-convergence events, in global order.
+    /// Every recorded re-convergence event, in global order.
     pub events: Vec<crate::trace::TraceEvent>,
 }
 
@@ -473,13 +462,12 @@ mod tests {
     #[test]
     fn traced_trial_matches_untraced_and_explains_delay() {
         let exp = tiny_experiment(5);
-        let traced = exp.run_trial_traced(0, None);
+        let traced = exp.run_trial_traced(0);
         assert_eq!(
             traced.stats,
             exp.run_trial(0),
             "tracing must not perturb the simulation"
         );
-        assert_eq!(traced.dropped, 0);
         assert!(!traced.events.is_empty());
         let tl = traced.timeline();
         // The last per-destination settle the timeline reconstructs is the
@@ -506,9 +494,7 @@ mod tests {
                         trials: 1,
                         base_seed: 3,
                     };
-                    let traced = exp.run_trial_traced(0, None);
-                    assert_eq!(traced.dropped, 0);
-                    traced.timeline().transient_routes()
+                    exp.run_trial_traced(0).timeline().transient_routes()
                 })
                 .collect()
         };

@@ -554,10 +554,9 @@ pub fn fig_fulltable(opts: FigOpts, sizes: &[u32]) -> FigureData {
             let mut net = exp.build_network(trial);
             net.run_initial_convergence();
             // Trace only the storm's re-convergence, like
-            // `Experiment::run_trial_traced`.
-            net.set_trace_sink(crate::trace::TraceSink::memory(
-                crate::trace::DEFAULT_MEMORY_CAPACITY,
-            ));
+            // `Experiment::run_trial_traced`, and keep every event: an
+            // episode whose install was dropped would go uncounted.
+            net.set_trace_sink(crate::trace::TraceSink::memory(usize::MAX));
             net.inject_burst_withdrawal(&exp.failure);
             let stats = net.run_to_quiescence();
             delay_sum += stats.convergence_delay.as_secs_f64();

@@ -32,23 +32,6 @@ use std::sync::Arc;
 use crate::metrics::RunStats;
 use crate::scheme::{MraiAssignment, Scheme};
 
-/// One sampled point of a convergence timeline (see
-/// [`Network::enable_sampling`]).
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Sample {
-    /// When the sample was taken.
-    pub time: SimTime,
-    /// Updates queued (not yet in service) across all live routers.
-    pub queued_updates: usize,
-    /// Routers with a batch in service.
-    pub busy_routers: usize,
-    /// Messages sent since the last counter reset.
-    pub messages_so_far: u64,
-    /// Mean dynamic-MRAI level over nodes running the dynamic scheme
-    /// (0 if none do).
-    pub mean_dynamic_level: f64,
-}
-
 /// How routers inside an AS exchange routes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize, Default)]
 pub enum IbgpMode {
@@ -662,15 +645,10 @@ pub struct Network {
     /// ground-truth validators treat these as expected-unreachable.
     withdrawn: std::collections::BTreeSet<Prefix>,
     pub(crate) last_activity: SimTime,
-    pub(crate) announcements: u64,
-    pub(crate) withdrawals: u64,
     failure_time: Option<SimTime>,
     failed_count: usize,
     initial_convergence: SimDuration,
     events_at_failure: u64,
-    sample_interval: Option<SimDuration>,
-    next_sample: SimTime,
-    samples: Vec<Sample>,
     /// Failed links (normalized router-id pairs); their sessions are dead
     /// but the endpoint routers live on.
     pub(crate) dead_links: std::collections::HashSet<(u32, u32)>,
@@ -838,15 +816,10 @@ impl Network {
             first_slot_of_as,
             withdrawn: std::collections::BTreeSet::new(),
             last_activity: SimTime::ZERO,
-            announcements: 0,
-            withdrawals: 0,
             failure_time: None,
             failed_count: 0,
             initial_convergence: SimDuration::ZERO,
             events_at_failure: 0,
-            sample_interval: None,
-            next_sample: SimTime::ZERO,
-            samples: Vec::new(),
             dead_links: std::collections::HashSet::new(),
             tiers,
             shards,
@@ -874,14 +847,8 @@ impl Network {
         &self.trace
     }
 
-    /// Mutable access to the trace sink (flushing a JSONL stream,
-    /// draining a memory buffer).
-    pub fn trace_sink_mut(&mut self) -> &mut crate::trace::TraceSink {
-        &mut self.trace
-    }
-
     /// Drains a [`TraceSink::Memory`](crate::trace::TraceSink::Memory)
-    /// buffer (empty for other sinks).
+    /// buffer (empty when tracing is off).
     pub fn take_trace_events(&mut self) -> Vec<crate::trace::TraceEvent> {
         self.trace.take_events()
     }
@@ -998,61 +965,17 @@ impl Network {
         self.start_measurement(t_f);
     }
 
-    /// Opens a new measurement window at `t`: node stats, the message
-    /// counters and the activity clock restart there, so
+    /// Opens a new measurement window at `t`: node stats (message counts
+    /// among them) and the activity clock restart there, so
     /// [`run_to_quiescence`](Network::run_to_quiescence) reports only the
     /// activity that follows the injection at `t`.
     fn start_measurement(&mut self, t: SimTime) {
         for node in self.nodes.iter_mut().flatten() {
             node.reset_stats();
         }
-        self.announcements = 0;
-        self.withdrawals = 0;
         self.failure_time = Some(t);
         self.last_activity = t;
         self.events_at_failure = self.sched.delivered_count();
-    }
-
-    /// Turns on timeline sampling: every `interval` of simulated time a
-    /// [`Sample`] of network-wide state (queue backlog, busy routers,
-    /// message count, mean dynamic-MRAI level) is recorded. Call before
-    /// running; read the result with [`samples`](Network::samples).
-    pub fn enable_sampling(&mut self, interval: SimDuration) {
-        assert!(!interval.is_zero(), "sampling interval must be positive");
-        self.sample_interval = Some(interval);
-        self.next_sample = self.sched.now() + interval;
-    }
-
-    /// The recorded timeline (empty unless
-    /// [`enable_sampling`](Network::enable_sampling) was called).
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    fn take_sample(&mut self, at: SimTime) {
-        let mut queued = 0usize;
-        let mut busy = 0usize;
-        let mut level_sum = 0usize;
-        let mut level_count = 0usize;
-        for node in self.nodes.iter().flatten() {
-            queued += node.queue_len();
-            busy += usize::from(node.is_busy());
-            if let Some(level) = node.dynamic_level() {
-                level_sum += level;
-                level_count += 1;
-            }
-        }
-        self.samples.push(Sample {
-            time: at,
-            queued_updates: queued,
-            busy_routers: busy,
-            messages_so_far: self.messages_sent(),
-            mean_dynamic_level: if level_count == 0 {
-                0.0
-            } else {
-                level_sum as f64 / level_count as f64
-            },
-        });
     }
 
     /// The topology this network runs on.
@@ -1139,11 +1062,6 @@ impl Network {
     /// any injection.
     pub fn failure_time(&self) -> Option<SimTime> {
         self.failure_time
-    }
-
-    /// Update messages sent since the last counter reset.
-    pub fn messages_sent(&self) -> u64 {
-        self.announcements + self.withdrawals
     }
 
     /// Originates every AS's prefix (uniformly spread over the origination
@@ -1326,9 +1244,6 @@ impl Network {
         self.pump();
         let mut stats = RunStats {
             convergence_delay: self.last_activity.saturating_since(failure_time),
-            messages: self.messages_sent(),
-            announcements: self.announcements,
-            withdrawals: self.withdrawals,
             failed_routers: self.failed_count,
             events: self.sched.delivered_count() - self.events_at_failure,
             initial_convergence: self.initial_convergence,
@@ -1336,6 +1251,8 @@ impl Network {
         };
         for node in self.nodes.iter().flatten() {
             let s = node.stats();
+            stats.announcements += s.announcements_sent;
+            stats.withdrawals += s.withdrawals_sent;
             stats.updates_processed += s.updates_processed;
             stats.decision_runs += s.decision_runs;
             stats.full_rescans += s.full_rescans;
@@ -1343,6 +1260,7 @@ impl Network {
             stats.stale_deleted += node.stale_deleted();
             stats.peak_queue = stats.peak_queue.max(node.queue_peak());
         }
+        stats.messages = stats.announcements + stats.withdrawals;
         stats
     }
 
@@ -1422,26 +1340,14 @@ impl Network {
 
     /// Drains the event queue.
     fn pump(&mut self) {
-        // Keep node-level recording coherent with the sink before any
-        // handler runs: cloning a JSONL-traced network (the parallel
-        // runner's forks) drops the sink — a byte stream must not be
-        // written by two networks — but the cloned nodes still carry
-        // their tracing flags, and without this sync their buffers would
-        // fill with no one draining them.
-        let tracing = !self.trace.is_off();
-        for node in self.nodes.iter_mut().flatten() {
-            node.set_tracing(tracing);
-        }
-        // The sharded loop (conservative PDES with link-delay lookahead,
-        // bit-identical to serial — see the `shard` module) cannot
-        // interleave timeline sampling, which reads global state
-        // mid-epoch; those runs stay serial.
-        // While sharded, `self.sched` is empty — pending events live in
-        // the shard-owned FELs — but its id allocation and delivery
+        // The sharded loop: conservative PDES with link-delay lookahead,
+        // bit-identical to serial (see the `shard` module). While
+        // sharded, `self.sched` is empty — pending events live in the
+        // shard-owned FELs — but its id allocation and delivery
         // accounting still advance in serial order, so at quiescence the
         // scheduler's counters (and any clone taken of them) are
         // identical to a serial run's.
-        if self.shards > 1 && self.sample_interval.is_none() {
+        if self.shards > 1 {
             crate::shard::pump_sharded(self);
             return;
         }
@@ -1450,13 +1356,6 @@ impl Network {
         let alive: Vec<bool> = self.nodes.iter().map(Option::is_some).collect();
         let mut actions: Vec<Action> = Vec::new();
         while let Some((t, ev)) = self.sched.next() {
-            if let Some(interval) = self.sample_interval {
-                while self.next_sample <= t {
-                    let at = self.next_sample;
-                    self.take_sample(at);
-                    self.next_sample = at + interval;
-                }
-            }
             let world = World {
                 topo: &self.topo,
                 tiers: &self.tiers,
@@ -1473,12 +1372,8 @@ impl Network {
             self.drain_node_trace(node, t);
             for action in actions.drain(..) {
                 if let Action::Send { to, msg } = action {
-                    if msg.action.is_advertise() {
-                        self.announcements += 1;
-                    } else {
-                        self.withdrawals += 1;
-                    }
-                    // Messages towards failed routers are lost with the link.
+                    // Messages towards failed routers are lost with the link
+                    // (the sender still counts them as sent).
                     if alive[to.index()] {
                         let ev = Ev::Deliver {
                             to,
@@ -1920,29 +1815,6 @@ mod tests {
                 "router {r} missing routes"
             );
         }
-    }
-
-    #[test]
-    fn sampling_records_timeline() {
-        let topo = small_topo(12, 30);
-        let mut net = Network::new(
-            topo,
-            SimConfig::from_scheme(&crate::Scheme::dynamic_default(), 40),
-        );
-        net.enable_sampling(SimDuration::from_millis(500));
-        net.run_failure_experiment(&FailureSpec::CenterFraction(0.1));
-        let samples = net.samples();
-        assert!(
-            samples.len() > 5,
-            "expected a timeline, got {}",
-            samples.len()
-        );
-        assert!(
-            samples.windows(2).all(|w| w[0].time < w[1].time),
-            "samples must be time-ordered"
-        );
-        // During the storm some router must have been busy at some sample.
-        assert!(samples.iter().any(|s| s.busy_routers > 0));
     }
 
     #[test]
@@ -2409,12 +2281,12 @@ mod tests {
     }
 
     #[test]
-    fn clone_copies_memory_traces_and_drops_jsonl_sinks() {
+    fn clone_copies_memory_traces() {
         use crate::trace::{to_jsonl, TraceSink};
         let failure = FailureSpec::CenterFraction(0.1);
 
-        // Memory sinks: each clone owns the buffered prefix, and two
-        // clones of one traced network record identical continuations.
+        // Each clone owns the buffered prefix, and two clones of one
+        // traced network record identical continuations.
         let mut traced = converged(16);
         traced.set_trace_sink(TraceSink::memory(1 << 20));
         let run = || {
@@ -2426,21 +2298,6 @@ mod tests {
         let (a, b) = (run(), run());
         assert!(!a.is_empty());
         assert_eq!(a, b, "memory-traced clones must trace identically");
-
-        // JSONL sinks: the clone degrades to Off (a byte stream must not
-        // be written by two networks), node flags re-sync on the next
-        // run, and the untraced clone still converges like the original.
-        let mut streamed = converged(16);
-        streamed.set_trace_sink(TraceSink::jsonl(Box::new(std::io::sink())));
-        let mut fork = streamed.clone();
-        assert!(fork.trace_sink().is_off(), "JSONL sink must not be cloned");
-        fork.inject_failure(&failure);
-        let forked_stats = fork.run_to_quiescence();
-        assert!(fork.take_trace_events().is_empty());
-
-        let mut untraced = converged(16);
-        untraced.inject_failure(&failure);
-        assert_eq!(forked_stats, untraced.run_to_quiescence());
     }
 
     #[test]

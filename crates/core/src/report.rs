@@ -3,42 +3,6 @@
 use std::fmt::Write as _;
 
 use crate::figures::FigureData;
-use crate::network::Sample;
-
-/// Renders a sampled convergence timeline as a unicode sparkline of the
-/// queued-update backlog (the paper's "unfinished work" signal), annotated
-/// with the peak.
-///
-/// ```
-/// use bgpsim::network::Sample;
-/// use bgpsim::report::sparkline;
-/// use bgpsim_des::SimTime;
-///
-/// let samples: Vec<Sample> = (0..8)
-///     .map(|i| Sample {
-///         time: SimTime::from_secs(i),
-///         queued_updates: (i as usize) % 5,
-///         busy_routers: 0,
-///         messages_so_far: 0,
-///         mean_dynamic_level: 0.0,
-///     })
-///     .collect();
-/// let line = sparkline(&samples);
-/// assert!(line.ends_with("(peak 4)"));
-/// ```
-pub fn sparkline(samples: &[Sample]) -> String {
-    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let peak = samples.iter().map(|s| s.queued_updates).max().unwrap_or(0);
-    let mut out = String::with_capacity(samples.len() + 16);
-    for s in samples {
-        let idx = (s.queued_updates * (BARS.len() - 1) + peak / 2)
-            .checked_div(peak)
-            .unwrap_or(0);
-        out.push(BARS[idx.min(BARS.len() - 1)]);
-    }
-    let _ = write!(out, " (peak {peak})");
-    out
-}
 
 /// Renders a figure as a fixed-width table: one row per x value, one
 /// column per series.
@@ -244,23 +208,6 @@ mod tests {
         };
         assert!(render_table(&fig).contains("empty"));
         assert_eq!(render_csv(&fig).lines().count(), 1);
-    }
-
-    #[test]
-    fn sparkline_scales_to_peak() {
-        use bgpsim_des::SimTime;
-        let mk = |q: usize, t: u64| crate::network::Sample {
-            time: SimTime::from_secs(t),
-            queued_updates: q,
-            busy_routers: 0,
-            messages_so_far: 0,
-            mean_dynamic_level: 0.0,
-        };
-        let line = sparkline(&[mk(0, 0), mk(10, 1), mk(5, 2)]);
-        assert!(line.starts_with('▁'), "zero maps to the lowest bar: {line}");
-        assert!(line.contains('█'), "peak maps to the highest bar: {line}");
-        assert!(line.ends_with("(peak 10)"));
-        assert_eq!(sparkline(&[]), " (peak 0)");
     }
 
     #[test]

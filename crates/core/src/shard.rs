@@ -24,8 +24,8 @@
 //!    `epoch_end`, go into per-destination-shard outboxes as [`Mail`] under
 //!    a *deferred id* `(record, offset)`; timers inside the epoch go into a
 //!    local heap (keys above [`LOCAL_KEY_BASE`]) and run in this same pass.
-//!    Message counters, the delivered count and the activity clock are
-//!    summed or maxed per shard. The shard hands the walk one compact
+//!    The delivered count and the activity clock are summed or maxed per
+//!    shard; each router counts its own sends in its `NodeStats`. The shard hands the walk one compact
 //!    [`Rec`] per handled event that needs ids or carries trace events.
 //!    Cross-node sends always land at `t + link_delay >= epoch_end` — the
 //!    lookahead argument — so shards never talk mid-epoch. The pump's own
@@ -79,8 +79,7 @@
 //! aliveness, dead links, sessions, topology, and policy tiers are frozen
 //! while the queues drain — so cross-node interleaving inside an epoch is
 //! unobservable to the nodes. The remaining global effects are
-//! order-free: the delivered count and message counters are sums, the
-//! clock and the activity clock are maxima (the serial loop's last value
+//! order-free: the delivered count is a sum, the clock and the activity clock are maxima (the serial loop's last value
 //! is the latest time), and a FEL's delivery order is a pure function of
 //! the `(time, id)` keys, not of insertion order, so which FEL an event
 //! sits in and when it was filed are unobservable. Trace events go out in
@@ -99,8 +98,9 @@
 //! shards' FEL heads *and* undelivered mail, so mail can never be skipped
 //! past.
 //!
-//! The loop falls back to serial for `shards <= 1` and sampling runs
-//! (samples read global state mid-epoch).
+//! Only `shards <= 1` runs the serial loop. A traced run shards like any
+//! other: the trace, the one in-run observer, follows the walk's serial
+//! order.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
@@ -306,8 +306,6 @@ struct EpochOut {
     t_last: SimTime,
     /// Latest time an event marked activity.
     active_at: Option<SimTime>,
-    announcements: u64,
-    withdrawals: u64,
     /// The shard FEL's head after the drain — cached so the coordinator's
     /// per-epoch `t0` scan never has to lock an unengaged shard.
     next_peek: Option<SimTime>,
@@ -323,8 +321,6 @@ impl EpochOut {
             delivered: 0,
             t_last: SimTime::ZERO,
             active_at: None,
-            announcements: 0,
-            withdrawals: 0,
             next_peek: None,
         }
     }
@@ -342,8 +338,6 @@ impl EpochOut {
         self.delivered = 0;
         self.t_last = SimTime::ZERO;
         self.active_at = None;
-        self.announcements = 0;
-        self.withdrawals = 0;
     }
 
     fn push_mail(&mut self, dest: usize, mail: Mail) {
@@ -457,11 +451,6 @@ fn run_shard_epoch(
         let mut off: u32 = 0;
         for action in actions.drain(..) {
             let (at, ev, dest) = if let Action::Send { to, msg } = action {
-                if msg.action.is_advertise() {
-                    out.announcements += 1;
-                } else {
-                    out.withdrawals += 1;
-                }
                 // Messages towards failed routers are lost with the link
                 // and never scheduled: no id.
                 if !ctx.world.alive[to.index()] {
@@ -859,7 +848,7 @@ pub(crate) fn pump_sharded(net: &mut Network) {
             timings.phase_a_secs += epoch_start.elapsed().as_secs_f64();
 
             // Barrier step: the outputs just filed are retired for reuse, the
-            // fresh ones take their place, and the per-shard counters and
+            // fresh ones take their place, and the per-shard counts and
             // mail minima are summed up.
             let exchange_start = Instant::now();
             let mut outs = prev.write().expect("epoch outputs poisoned");
@@ -879,8 +868,6 @@ pub(crate) fn pump_sharded(net: &mut Network) {
                 delivered += out.delivered;
                 t_last = t_last.max(out.t_last);
                 active_at = active_at.max(out.active_at);
-                net.announcements += out.announcements;
-                net.withdrawals += out.withdrawals;
                 for (min, &m) in mail_min.iter_mut().zip(&out.mail_min) {
                     *min = match (*min, m) {
                         (Some(a), Some(b)) => Some(a.min(b)),

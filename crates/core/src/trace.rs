@@ -25,10 +25,16 @@
 //! ## Sinks
 //!
 //! * [`TraceSink::Off`] — the default; hook sites cost one branch.
-//! * [`TraceSink::Memory`] — a bounded ring buffer for in-process
-//!   analysis ([`Timeline`]).
-//! * [`TraceSink::Jsonl`] — streams one JSON object per event to a
-//!   writer, for offline tooling and the CI determinism check.
+//! * [`TraceSink::Memory`] — an in-memory buffer, for in-process
+//!   analysis ([`Timeline`]) and for export: [`to_jsonl`] renders it as
+//!   one JSON object per line, the form the CI determinism check
+//!   compares. A capacity of `usize::MAX` keeps every event; a smaller
+//!   one makes it a ring that drops the oldest.
+//!
+//! The trace is the simulator's only in-run observer: a timeline of the
+//! network's backlog, busy routers or messages over time is a pass over
+//! its `QueueDepth` and `Sent` events (the `convergence_timeline`
+//! example), never a probe inside the event loop.
 //!
 //! ## Timelines
 //!
@@ -40,9 +46,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::io::{self, Write};
-use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 use bgpsim_bgp::trace::NodeEvent;
 use bgpsim_bgp::Prefix;
@@ -67,7 +70,8 @@ pub struct TraceEvent {
     pub event: NodeEvent,
 }
 
-/// A bounded in-memory trace buffer (ring: oldest events drop first).
+/// An in-memory trace buffer. Past its capacity it is a ring: the oldest
+/// events drop first.
 #[derive(Clone, Debug, Default)]
 pub struct MemoryTrace {
     events: VecDeque<TraceEvent>,
@@ -98,65 +102,23 @@ impl MemoryTrace {
     }
 }
 
-/// A streaming JSONL writer shared behind a lock.
-///
-/// The lock exists because [`Network`](crate::network::Network) is
-/// `Clone`; the stream itself is only ever written by one thread (the
-/// serial loop, or the sharded loop's walk), so there is no contention.
-pub struct JsonlTrace {
-    writer: Arc<Mutex<Box<dyn Write + Send>>>,
-    seq: u64,
-    io_errors: u64,
-}
-
-impl std::fmt::Debug for JsonlTrace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlTrace")
-            .field("seq", &self.seq)
-            .field("io_errors", &self.io_errors)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Where trace events go. Defaults to [`TraceSink::Off`].
-#[derive(Debug, Default)]
+///
+/// Cloning a [`Memory`](TraceSink::Memory) sink deep-clones it: the clone
+/// of a traced network carries the original's history, so the two record
+/// identical continuations.
+#[derive(Clone, Debug, Default)]
 pub enum TraceSink {
     /// Tracing disabled — zero events recorded, hook sites cost a branch.
     #[default]
     Off,
-    /// Ring-buffered in memory, for in-process analysis.
+    /// Buffered in memory, for in-process analysis.
     Memory(MemoryTrace),
-    /// Streamed as one JSON object per line.
-    Jsonl(JsonlTrace),
 }
-
-/// Cloning a network must not duplicate a byte stream: a [`Memory`] sink
-/// deep-clones (the clone replays the original's history exactly, so the
-/// carried prefix stays bit-accurate), while a [`Jsonl`] sink clones to
-/// [`Off`] — two writers interleaving one stream would corrupt it. A
-/// clone of a JSONL-traced network therefore runs untraced (its nodes'
-/// recording flags re-sync to the sink when it next runs); attach a
-/// fresh sink to stream it.
-///
-/// [`Memory`]: TraceSink::Memory
-/// [`Jsonl`]: TraceSink::Jsonl
-/// [`Off`]: TraceSink::Off
-impl Clone for TraceSink {
-    fn clone(&self) -> TraceSink {
-        match self {
-            TraceSink::Off => TraceSink::Off,
-            TraceSink::Memory(m) => TraceSink::Memory(m.clone()),
-            TraceSink::Jsonl(_) => TraceSink::Off,
-        }
-    }
-}
-
-/// Default [`TraceSink::memory`] capacity: 2^22 events (~hundreds of MB
-/// worst case, far above any CI scenario; big sweeps should size it).
-pub const DEFAULT_MEMORY_CAPACITY: usize = 1 << 22;
 
 impl TraceSink {
-    /// A ring-buffered in-memory sink holding at most `capacity` events.
+    /// An in-memory sink holding at most `capacity` events (the oldest
+    /// drop first); `usize::MAX` keeps every event.
     pub fn memory(capacity: usize) -> TraceSink {
         TraceSink::Memory(MemoryTrace {
             events: VecDeque::new(),
@@ -164,22 +126,6 @@ impl TraceSink {
             seq: 0,
             dropped: 0,
         })
-    }
-
-    /// A JSONL sink over an arbitrary writer.
-    pub fn jsonl(writer: Box<dyn Write + Send>) -> TraceSink {
-        TraceSink::Jsonl(JsonlTrace {
-            writer: Arc::new(Mutex::new(writer)),
-            seq: 0,
-            io_errors: 0,
-        })
-    }
-
-    /// A JSONL sink writing to `path` (buffered; call
-    /// [`flush`](TraceSink::flush) or drop the network to sync).
-    pub fn jsonl_file(path: impl AsRef<Path>) -> io::Result<TraceSink> {
-        let file = std::fs::File::create(path)?;
-        Ok(TraceSink::jsonl(Box::new(io::BufWriter::new(file))))
     }
 
     /// Whether this sink discards everything.
@@ -192,7 +138,6 @@ impl TraceSink {
         match self {
             TraceSink::Off => 0,
             TraceSink::Memory(m) => m.seq,
-            TraceSink::Jsonl(j) => j.seq,
         }
     }
 
@@ -214,24 +159,6 @@ impl TraceSink {
                     m.dropped += 1;
                 }
             }
-            TraceSink::Jsonl(j) => {
-                let seq = j.seq;
-                j.seq += 1;
-                let ev = TraceEvent {
-                    seq,
-                    time,
-                    node,
-                    event,
-                };
-                let line = serde_json::to_string(&ev).expect("trace events serialize");
-                let mut w = j.writer.lock().expect("trace writer lock");
-                if w.write_all(line.as_bytes())
-                    .and_then(|()| w.write_all(b"\n"))
-                    .is_err()
-                {
-                    j.io_errors += 1;
-                }
-            }
         }
     }
 
@@ -239,32 +166,17 @@ impl TraceSink {
     pub fn memory_events(&self) -> Option<&MemoryTrace> {
         match self {
             TraceSink::Memory(m) => Some(m),
-            _ => None,
+            TraceSink::Off => None,
         }
     }
 
     /// Drains a [`TraceSink::Memory`] buffer (the seq counter keeps
-    /// running, so later events continue the global order).
+    /// running, so later events continue the global order). The buffer's
+    /// allocation moves into the returned `Vec` rather than being copied.
     pub fn take_events(&mut self) -> Vec<TraceEvent> {
         match self {
-            TraceSink::Memory(m) => m.events.drain(..).collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Write errors swallowed by a [`TraceSink::Jsonl`] sink so far.
-    pub fn io_errors(&self) -> u64 {
-        match self {
-            TraceSink::Jsonl(j) => j.io_errors,
-            _ => 0,
-        }
-    }
-
-    /// Flushes a [`TraceSink::Jsonl`] writer (no-op otherwise).
-    pub fn flush(&mut self) -> io::Result<()> {
-        match self {
-            TraceSink::Jsonl(j) => j.writer.lock().expect("trace writer lock").flush(),
-            _ => Ok(()),
+            TraceSink::Memory(m) => std::mem::take(&mut m.events).into(),
+            TraceSink::Off => Vec::new(),
         }
     }
 }
@@ -480,9 +392,9 @@ impl Timeline {
     }
 }
 
-/// Serializes events as the JSONL byte stream a [`TraceSink::Jsonl`]
-/// sink would have produced — used to compare a [`TraceSink::Memory`]
-/// buffer byte-for-byte against a streamed trace.
+/// Serializes events as JSONL, one JSON object per line — the export
+/// form of a [`TraceSink::Memory`] buffer, compared byte for byte across
+/// shard counts.
 pub fn to_jsonl<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> String {
     let mut out = String::new();
     for ev in events {
@@ -524,37 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_matches_memory_serialization() {
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut jsonl = TraceSink::jsonl(Box::new(Shared(buf.clone())));
-        let mut memory = TraceSink::memory(16);
-        for (t, n) in [(5u64, 0u32), (7, 3)] {
-            let e = NodeEvent::Sent {
-                to: RouterId::new(9),
-                prefix: Prefix::new(1),
-                advertise: true,
-            };
-            jsonl.record(SimTime::from_millis(t), RouterId::new(n), e.clone());
-            memory.record(SimTime::from_millis(t), RouterId::new(n), e);
-        }
-        jsonl.flush().unwrap();
-        let streamed = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let buffered = to_jsonl(memory.memory_events().unwrap().events());
-        assert_eq!(streamed, buffered);
-        assert_eq!(jsonl.io_errors(), 0);
-    }
-
-    #[test]
     fn trace_event_round_trips_through_json() {
         let e = ev(
             3,
@@ -572,12 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn cloning_jsonl_disables_cloning_memory_carries() {
-        let sink = TraceSink::jsonl(Box::new(io::sink()));
-        assert!(
-            sink.clone().is_off(),
-            "a byte stream must not be duplicated"
-        );
+    fn cloning_a_memory_sink_carries_its_history() {
         let mut mem = TraceSink::memory(8);
         mem.record(
             SimTime::ZERO,

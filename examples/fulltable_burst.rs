@@ -22,15 +22,16 @@
 //!
 //! Combined with `BGPSIM_SHARDS`, this is the full-table determinism
 //! check: every output file is byte-identical for any shard count. The
-//! trace streams to disk while the storm runs (a 10^5-prefix burst emits
-//! far more events than a memory ring should hold) and is re-read
-//! afterwards for the timeline pass.
+//! trace is held in memory, every event of it (11.85 M events at the
+//! default size): the timeline pass reads it there, and the JSONL file is
+//! written from it line by line.
 
+use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 
 use bgpsim::network::{Network, SimConfig};
 use bgpsim::scheme::Scheme;
-use bgpsim::trace::{Timeline, TraceEvent, TraceSink};
+use bgpsim::trace::{Timeline, TraceSink};
 use bgpsim::FullTableSpec;
 use bgpsim_topology::degree::SkewedSpec;
 use bgpsim_topology::generators::skewed_topology;
@@ -78,12 +79,11 @@ fn main() -> std::io::Result<()> {
     let mut net = Network::new(topo, SimConfig::from_scheme(&scheme, seed));
 
     println!(
-        "== fulltable_burst: {} routers × {} prefixes, scheme '{}', {} shard(s), {} stream(s) ==",
+        "== fulltable_burst: {} routers × {} prefixes, scheme '{}', {} shard(s) ==",
         nodes,
         table,
         scheme.name,
-        net.shard_count(),
-        net.commit_stream_count()
+        net.shard_count()
     );
     net.run_initial_convergence();
     println!(
@@ -100,23 +100,18 @@ fn main() -> std::io::Result<()> {
         t0.as_secs_f64()
     );
 
-    // Trace only the re-convergence, streaming straight to disk: a
-    // 10^5-prefix storm produces more events than a memory ring should
-    // buffer. The JSONL file is itself the determinism artefact.
-    net.set_trace_sink(TraceSink::jsonl_file(&trace_path)?);
+    // Trace only the re-convergence, keeping every event. The JSONL file
+    // is itself the determinism artefact.
+    net.set_trace_sink(TraceSink::memory(usize::MAX));
     let stats = net.run_to_quiescence();
-    net.trace_sink_mut().flush()?;
-    net.set_trace_sink(TraceSink::Off);
     net.assert_routing_consistent();
-
-    // Re-read the stream for the timeline pass (the memory-sink path the
-    // smaller examples take would have dropped the oldest events here).
-    let raw = std::fs::read_to_string(&trace_path)?;
-    let events: Vec<TraceEvent> = raw
-        .lines()
-        .map(|l| serde_json::from_str(l).expect("trace line parses"))
-        .collect();
-    drop(raw);
+    let events = net.take_trace_events();
+    let mut jsonl = BufWriter::new(std::fs::File::create(&trace_path)?);
+    for ev in &events {
+        let line = serde_json::to_string(ev).expect("trace events serialize");
+        writeln!(jsonl, "{line}")?;
+    }
+    jsonl.flush()?;
     println!(
         "re-convergence {:.2} s sim-time, {} messages, {} trace events",
         stats.convergence_delay.as_secs_f64(),

@@ -74,10 +74,10 @@ fn main() -> std::io::Result<()> {
     net.inject_failure(&FailureSpec::CenterFraction(0.10));
     let t0 = net.failure_time().expect("failure injected");
 
-    // Trace only the re-convergence. A memory sink keeps the events for
-    // the timeline pass; `to_jsonl` re-serializes them into exactly the
-    // byte stream a `TraceSink::Jsonl` would have written.
-    net.set_trace_sink(TraceSink::memory(1 << 22));
+    // Trace only the re-convergence. A memory sink keeps every event for
+    // the timeline pass; `to_jsonl` serializes them into the JSONL byte
+    // stream the determinism check compares.
+    net.set_trace_sink(TraceSink::memory(usize::MAX));
     let stats = net.run_to_quiescence();
     let events = net.take_trace_events();
 

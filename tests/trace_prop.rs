@@ -1,6 +1,6 @@
 //! Property tests for the tracing layer (`bgpsim::trace`).
 //!
-//! Two contracts, checked together over random topologies, seeds,
+//! Three contracts, checked together over random topologies, seeds,
 //! failure fractions and schemes:
 //!
 //! 1. **Tracing is invisible.** Attaching a `TraceSink::Memory` must not
@@ -13,11 +13,17 @@
 //!    is stronger than equal `RunStats`: every event, every field, every
 //!    sequence number must match, which pins the Phase B walk order in
 //!    `shard.rs` that trace emission follows.
+//! 3. **The trace and the stats agree on messages.** The stream's
+//!    `Sent { advertise: true }` and `Sent { advertise: false }` counts
+//!    equal `RunStats::{announcements, withdrawals}`, serially and
+//!    sharded. A send towards a failed router is lost with the link, but
+//!    its sender still sent it: it counts on both sides.
 
 use bgpsim::metrics::RunStats;
 use bgpsim::network::{Network, SimConfig};
 use bgpsim::scheme::Scheme;
 use bgpsim::trace::{to_jsonl, TraceEvent, TraceSink};
+use bgpsim_bgp::trace::NodeEvent;
 use bgpsim_topology::degree::SkewedSpec;
 use bgpsim_topology::generators::skewed_topology;
 use bgpsim_topology::region::FailureSpec;
@@ -55,10 +61,28 @@ fn run(
     net.run_initial_convergence();
     net.inject_failure(&FailureSpec::CenterFraction(fraction));
     if traced {
-        net.set_trace_sink(TraceSink::memory(1 << 22));
+        net.set_trace_sink(TraceSink::memory(usize::MAX));
     }
     let stats = net.run_to_quiescence();
     (stats, net.take_trace_events())
+}
+
+/// The stream's `(announcements, withdrawals)`: its `Sent` events split
+/// by `advertise`.
+fn sent_counts(events: &[TraceEvent]) -> (u64, u64) {
+    let mut counts = (0, 0);
+    for ev in events {
+        match ev.event {
+            NodeEvent::Sent {
+                advertise: true, ..
+            } => counts.0 += 1,
+            NodeEvent::Sent {
+                advertise: false, ..
+            } => counts.1 += 1,
+            _ => {}
+        }
+    }
+    counts
 }
 
 proptest! {
@@ -90,6 +114,13 @@ proptest! {
             !events.is_empty(),
             "a traced re-convergence must record events"
         );
+        // Contract 3, serially.
+        prop_assert_eq!(
+            sent_counts(&events),
+            (stats_off.announcements, stats_off.withdrawals),
+            "trace Sent events vs RunStats: scheme={}",
+            scheme.name
+        );
         let serial_jsonl = to_jsonl(&events);
 
         // Contract 2: serial vs sharded — byte-identical JSONL streams,
@@ -100,6 +131,14 @@ proptest! {
                 stats,
                 stats_off,
                 "RunStats diverged: scheme={} shards={}",
+                scheme.name,
+                shards
+            );
+            // Contract 3, sharded.
+            prop_assert_eq!(
+                sent_counts(&events),
+                (stats.announcements, stats.withdrawals),
+                "trace Sent events vs RunStats: scheme={} shards={}",
                 scheme.name,
                 shards
             );
